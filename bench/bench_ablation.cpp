@@ -63,8 +63,7 @@ void AblateJoinOrder() {
   for (bool greedy : {true, false}) {
     Database db;
     for (const auto& [pred, rel] : db_template.relations()) {
-      Relation& copy = db.GetOrCreate(pred, rel->arity());
-      for (size_t r = 0; r < rel->size(); ++r) copy.Insert(rel->row(r));
+      db.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
     }
     EvalOptions options;
     options.greedy_join_order = greedy;

@@ -60,8 +60,7 @@ struct AncestorHarness {
     Database db;
     const Relation* rel = source.Find(par());
     if (rel != nullptr) {
-      Relation& copy = db.GetOrCreate(par(), 2);
-      for (size_t r = 0; r < rel->size(); ++r) copy.Insert(rel->row(r));
+      db.GetOrCreate(par(), 2).InsertAll(*rel);
     }
     return db;
   }

@@ -590,8 +590,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       if (!batch.ok()) return batch.status();
       stats = *batch;
       for (const auto& [pred, rel] : eval->db().relations()) {
-        Relation& dest = edb.GetOrCreate(pred, rel->arity());
-        for (size_t i = 0; i < rel->size(); ++i) dest.Insert(rel->row(i));
+        edb.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
       }
       out += "mode: sequential incremental\n";
     } else if (options.mode == CliOptions::Mode::kSequential) {

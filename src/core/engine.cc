@@ -451,21 +451,21 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     TraceScope pool_span(
         options.tracer != nullptr ? options.tracer->engine_ring() : nullptr,
         TracePhase::kPool);
+    std::vector<const Relation*> outs(workers.size());
     for (Symbol p : bundle.derived) {
-      Relation& pooled = result.output.GetOrCreate(p, bundle.arity.at(p));
       int arity = bundle.arity.at(p);
       for (size_t w = 0; w < workers.size(); ++w) {
-        const Relation& out = workers[w]->OutputRelation(p);
-        m.AddCounter("run.out_tuples_total", out.size());
+        outs[w] = &workers[w]->OutputRelation(p);
+        m.AddCounter("run.out_tuples_total", outs[w]->size());
         if (w != 0) {
-          m.AddCounter("run.pooling_messages", out.size());
+          m.AddCounter("run.pooling_messages", outs[w]->size());
           m.AddCounter("run.pooling_bytes",
-                       out.size() * MessageWireBytes(arity));
-        }
-        for (size_t row = 0; row < out.size(); ++row) {
-          pooled.Insert(out.row(row));
+                       outs[w]->size() * MessageWireBytes(arity));
         }
       }
+      // One presized bulk merge; first occurrences in worker order.
+      Relation& pooled = result.output.GetOrCreate(p, arity);
+      pooled.InsertAll(outs);
       m.AddCounter("run.pooled_tuples", pooled.size());
     }
   }
@@ -517,15 +517,8 @@ StatusOr<ParallelResult> RunParallelStratified(
     // Pooled outputs of this stratum feed later strata as base inputs.
     for (Symbol p : strat.strata[s]) {
       const Relation* pooled = result->output.Find(p);
-      Relation& into = edb->GetOrCreate(p, pooled->arity());
-      for (size_t row = 0; row < pooled->size(); ++row) {
-        into.Insert(pooled->row(row));
-      }
-      Relation& out =
-          total.output.GetOrCreate(p, pooled->arity());
-      for (size_t row = 0; row < pooled->size(); ++row) {
-        out.Insert(pooled->row(row));
-      }
+      edb->GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
+      total.output.GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
     }
 
     // Aggregate statistics: counters add across strata; the scalar

@@ -202,9 +202,14 @@ std::vector<CriticalPathSegment> WalkCriticalPath(
         break;
       }
     }
+    // Across a flow edge the path already runs through the sender up
+    // to the send, so the receiver's segment starts no earlier than it
+    // (segments stay disjoint and the path fits inside the span).
+    uint64_t seg_begin =
+        jump != nullptr ? std::max(iv->begin, jump->send_ts) : iv->begin;
     CriticalPathSegment seg;
     seg.worker = w;
-    seg.begin_ns = iv->begin >= epoch ? iv->begin - epoch : 0;
+    seg.begin_ns = seg_begin >= epoch ? seg_begin - epoch : 0;
     seg.end_ns = seg_end >= epoch ? seg_end - epoch : 0;
     if (jump != nullptr) {
       seg.from_worker = jump->sender;

@@ -143,24 +143,62 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   // Record the block's tuple count unconditionally: a block whose rows
   // all dedup away is still one received frame of `count` tuples.
   if (insert_tuples_ != nullptr) insert_tuples_->Record(count);
-  if (count == 0) return 0;
+  for (int c = 0; c < arity_; ++c) {
+    block_columns_[c] =
+        columnar ? values + static_cast<size_t>(c) * count : values + c;
+  }
+  return IngestColumns(block_columns_.data(),
+                       columnar ? 1 : static_cast<size_t>(arity_), count);
+}
 
-  // Pass 1: hash every row. Columnar payloads hash in one tight loop
-  // per column (the layout a decoded TupleBlock frame arrives in).
-  block_hashes_.resize(count);
-  if (columnar) {
-    uint64_t seed = 0x12345678u ^ static_cast<uint64_t>(arity);
-    for (uint32_t r = 0; r < count; ++r) block_hashes_[r] = seed;
-    for (int c = 0; c < arity; ++c) {
-      const Value* col = values + static_cast<size_t>(c) * count;
-      for (uint32_t r = 0; r < count; ++r) {
-        block_hashes_[r] = HashCombine(block_hashes_[r], col[r]);
+size_t Relation::InsertAll(std::span<const Relation* const> sources) {
+  size_t total = store_.size();
+  for (const Relation* source : sources) {
+    assert(source != this && source->arity() == arity_);
+    total += source->size();
+  }
+  assert(total <= kEmptySlot);  // row ids are 32-bit
+  // One reserve for the whole union: growing per source would rehash
+  // every committed row again for each source that crosses a doubling.
+  if (total * 4 > dedup_.size() * 3) GrowDedup(total);
+
+  size_t added = 0;
+  for (const Relation* source : sources) {
+    const ColumnStore& from = source->store_;
+    const size_t n = from.size();
+    size_t run = 0;
+    for (size_t row = 0; row < n; row += run) {
+      // One block per column chunk: every column's chunk edge falls at
+      // the same row, so the spans line up (and arity 0 has none).
+      run = std::min(ColumnStore::kChunkRows - (row & ColumnStore::kChunkMask),
+                     n - row);
+      for (int c = 0; c < arity_; ++c) {
+        block_columns_[c] = from.ColumnSpan(c, row, &run);
       }
+      added += IngestColumns(block_columns_.data(), 1,
+                             static_cast<uint32_t>(run));
     }
-  } else {
-    const Value* row = values;
-    for (uint32_t r = 0; r < count; ++r, row += arity) {
-      block_hashes_[r] = HashProjection(row, arity);
+  }
+  return added;
+}
+
+size_t Relation::IngestColumns(const Value* const* columns, size_t stride,
+                               uint32_t count) {
+  if (count == 0) return 0;
+  const int arity = arity_;
+  auto value_at = [&](uint32_t r, int c) -> Value {
+    return columns[c][r * stride];
+  };
+
+  // Pass 1: hash every row, one tight loop per column (the layout a
+  // decoded TupleBlock frame and a column chunk arrive in).
+  block_hashes_.resize(count);
+  const uint64_t seed = 0x12345678u ^ static_cast<uint64_t>(arity);
+  for (uint32_t r = 0; r < count; ++r) block_hashes_[r] = seed;
+  for (int c = 0; c < arity; ++c) {
+    const Value* col = columns[c];
+    for (uint32_t r = 0; r < count; ++r) {
+      block_hashes_[r] = HashCombine(block_hashes_[r], col[r * stride]);
     }
   }
 
@@ -169,12 +207,6 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   if ((store_.size() + count) * 4 > dedup_.size() * 3) {
     GrowDedup(store_.size() + count);
   }
-
-  // `value_at` reads cell (r, c) of the incoming block in either layout.
-  auto value_at = [&](uint32_t r, int c) -> Value {
-    return columnar ? values[static_cast<size_t>(c) * count + r]
-                    : values[static_cast<size_t>(r) * arity + c];
-  };
 
   // Pass 2: dedup probe per row, against committed rows and against
   // earlier survivors of this same block (their ids are assigned but
@@ -231,9 +263,7 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
   if (kept == 0) return 0;
   store_.EnsureCapacity(base + kept);
   for (int c = 0; c < arity; ++c) {
-    const Value* src = columnar ? values + static_cast<size_t>(c) * count
-                                : values + c;
-    const size_t stride = columnar ? 1 : static_cast<size_t>(arity);
+    const Value* src = columns[c];
     size_t dst = base;
     uint32_t k = 0;
     while (k < kept) {

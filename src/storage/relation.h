@@ -29,6 +29,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -262,7 +263,8 @@ class ColumnIndex {
 
 class Relation {
  public:
-  explicit Relation(int arity) : arity_(arity), store_(arity) {}
+  explicit Relation(int arity)
+      : arity_(arity), store_(arity), block_columns_(arity) {}
   // Not copyable or movable: the dedup table and indexes hold a pointer
   // to the column store. Databases store relations behind unique_ptr.
   Relation(const Relation&) = delete;
@@ -290,6 +292,21 @@ class Relation {
   // that were new.
   size_t InsertBlock(const Value* values, int arity, uint32_t count,
                      bool columnar = false);
+
+  // Bulk union (final pooling, per-stratum copies): appends every row of
+  // `sources` that is not yet present, keeping first occurrences in
+  // source order — the same rows in the same order as inserting each
+  // source row by row. The dedup table grows once, to size() plus the
+  // sum of the source sizes (an upper bound: the distinct count is not
+  // known in advance); each source's column chunks then feed the
+  // InsertBlock ingest path directly, so no Tuple is materialized.
+  // Sources must have this relation's arity and must not be this
+  // relation. Returns the number of rows that were new.
+  size_t InsertAll(std::span<const Relation* const> sources);
+  size_t InsertAll(const Relation& source) {
+    const Relation* one = &source;
+    return InsertAll({&one, 1});
+  }
 
   bool Contains(const Tuple& tuple) const;
 
@@ -344,6 +361,12 @@ class Relation {
   // load (one rehash even when doubling several times).
   void GrowDedup(size_t min_rows);
 
+  // The ingest path shared by InsertBlock and InsertAll: cell (r, c) of
+  // the incoming rows is columns[c][r * stride] (stride 1 for a
+  // column-major block or a column chunk, the arity for row-major).
+  size_t IngestColumns(const Value* const* columns, size_t stride,
+                       uint32_t count);
+
   int arity_;
   ColumnStore store_;
   // Open-addressing dedup set over row ids (hash + id per slot; equality
@@ -358,8 +381,10 @@ class Relation {
   TraceRing* trace_ = nullptr;  // optional bulk-insert span target
   Histogram* insert_profile_ = nullptr;  // optional ingest durations
   Histogram* insert_tuples_ = nullptr;   // optional ingest tuple counts
-  // InsertBlock scratch, reused across blocks (allocation-free once
-  // warm): per-row hashes and the surviving source-row list.
+  // Ingest scratch, reused across blocks (allocation-free once warm):
+  // one column pointer per column, per-row hashes and the surviving
+  // source-row list.
+  std::vector<const Value*> block_columns_;
   std::vector<uint64_t> block_hashes_;
   std::vector<uint32_t> block_keep_;
 };

@@ -257,5 +257,35 @@ TEST(AnalyzeTest, RealRunCriticalPathIsWellFormed) {
   EXPECT_LE(report.critical_path_ns, report.span_ns);
 }
 
+// Threaded Example 3 over a random graph: workers stay busy in long
+// merged intervals while frames cross, so a receiver's interval starts
+// well before the frame that links it to the sender. The path's
+// segments must not overlap, so it can never exceed the traced span.
+TEST(AnalyzeTest, ThreadedRunCriticalPathFitsInSpan) {
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 300, 900, 7);
+  const int P = 4;
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, P);
+
+  Tracer tracer(P);
+  ParallelOptions options;
+  options.use_threads = true;
+  options.tracer = &tracer;
+  StatusOr<ParallelResult> result =
+      RunParallel(bundle, &setup->edb, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+
+  ProfileReport report = AnalyzeRun(tracer, MakeProfileContext(*result));
+  ASSERT_EQ(report.dropped, 0u);
+  ASSERT_FALSE(report.critical_path.empty());
+  EXPECT_GT(report.critical_path_ns, 0u);
+  EXPECT_LE(report.critical_path_ns, report.span_ns);
+  for (size_t i = 1; i < report.critical_path.size(); ++i) {
+    EXPECT_LE(report.critical_path[i - 1].end_ns,
+              report.critical_path[i].begin_ns);
+  }
+}
+
 }  // namespace
 }  // namespace pdatalog

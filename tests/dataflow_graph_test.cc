@@ -149,8 +149,7 @@ TEST_P(TheoremThreeTest, DerivedSchemeIsCommunicationFree) {
   Database seq_db;
   for (const auto& [pred, rel] : edb.relations()) {
     if (!info.IsBase(pred)) continue;
-    Relation& copy = seq_db.GetOrCreate(pred, rel->arity());
-    for (size_t r = 0; r < rel->size(); ++r) copy.Insert(rel->row(r));
+    seq_db.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
   }
   EvalStats stats;
   ASSERT_TRUE(SemiNaiveEvaluate(program, info, &seq_db, &stats).ok());

@@ -185,8 +185,7 @@ TEST_P(EngineModeTest, GeneralSchemeNonLinearAncestor) {
   // Sequential reference.
   Database seq_db;
   const Relation* par = edb.Find(symbols.Lookup("par"));
-  Relation& copy = seq_db.GetOrCreate(symbols.Lookup("par"), 2);
-  for (size_t r = 0; r < par->size(); ++r) copy.Insert(par->row(r));
+  seq_db.GetOrCreate(symbols.Lookup("par"), 2).InsertAll(*par);
   EvalStats seq_stats;
   ASSERT_TRUE(SemiNaiveEvaluate(program, info, &seq_db, &seq_stats).ok());
 

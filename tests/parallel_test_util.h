@@ -81,10 +81,7 @@ inline std::string SequentialAncestor(AncestorSetup* setup,
   Database db;
   const Relation* par = setup->edb.Find(setup->symbols.Lookup("par"));
   if (par != nullptr) {
-    Relation& copy = db.GetOrCreate(setup->symbols.Lookup("par"), 2);
-    for (size_t row = 0; row < par->size(); ++row) {
-      copy.Insert(par->row(row));
-    }
+    db.GetOrCreate(setup->symbols.Lookup("par"), 2).InsertAll(*par);
   }
   EvalStats local;
   Status status = SemiNaiveEvaluate(setup->program, setup->info, &db,

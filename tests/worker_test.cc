@@ -204,8 +204,7 @@ TEST(WorkerTest, ReceivedDuplicatesDoNotRefire) {
   std::string dump;
   Relation pooled(2);
   for (auto& w : rig.workers) {
-    const Relation& out = w->OutputRelation(setup->anc());
-    for (size_t r = 0; r < out.size(); ++r) pooled.Insert(out.row(r));
+    pooled.InsertAll(w->OutputRelation(setup->anc()));
   }
   closure = pooled.size();
   EXPECT_EQ(closure, 10u);  // 4*5/2
