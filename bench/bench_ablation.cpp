@@ -70,7 +70,7 @@ void AblateJoinOrder() {
     EvalStats stats;
     Stopwatch watch;
     Status status =
-        SemiNaiveEvaluate(*program, info, &db, &stats, nullptr, options);
+        SemiNaiveEvaluate(*program, info, &db, &stats, options);
     if (!status.ok()) AncestorHarness::Die("eval", status);
     table.AddRow({greedy ? "greedy" : "textual",
                   TextTable::Cell(stats.firings),
@@ -106,7 +106,7 @@ void AblateStratification() {
     EvalStats stats;
     Stopwatch watch;
     Status status =
-        SemiNaiveEvaluate(*program, info, &db, &stats, nullptr, options);
+        SemiNaiveEvaluate(*program, info, &db, &stats, options);
     if (!status.ok()) AncestorHarness::Die("eval", status);
     table.AddRow({stratified ? "stratified" : "monolithic",
                   TextTable::Cell(stats.firings),

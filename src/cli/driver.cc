@@ -21,7 +21,6 @@
 #include "server/engine.h"
 #include "server/protocol.h"
 #include "storage/snapshot.h"
-#include "eval/incremental.h"
 #include "eval/naive.h"
 #include "workload/programs.h"
 #include "eval/seminaive.h"
@@ -51,7 +50,7 @@ Status UsageError(const std::string& message) {
       " [--transport=mutex|spsc] [--transport-ring=N]"
       " [--rebalance-skew=R] [--rebalance-buckets=N]"
       " [--trace=FILE] [--metrics=FILE] [--profile[=FILE]]"
-      " [--trace-ring-kb=N] [--incremental]"
+      " [--trace-ring-kb=N]"
       " [--serve[=PORT]] [--serve-batch=N] [--telemetry-port=P]"
       " [--slow-query-ms=T] [--health-queue=N] [--health-lag-ms=M]"
       " [--program=name] [--print-programs] [--stats] [program.dl]");
@@ -385,8 +384,6 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
       options.advise = true;
     } else if (arg == "--interactive") {
       options.interactive = true;
-    } else if (arg == "--incremental") {
-      options.incremental = true;
     } else if (arg == "--serve") {
       options.serve = true;
     } else if (ConsumePrefix(arg, "--serve=", &rest)) {
@@ -447,16 +444,6 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
     } else {
       return UsageError("multiple program files given");
     }
-  }
-  if (options.incremental) {
-    if (options.mode == CliOptions::Mode::kNaive) {
-      return UsageError("--incremental cannot combine with --mode=naive");
-    }
-    if (options.stratified) {
-      return UsageError("--incremental cannot combine with --stratified");
-    }
-    // Incremental maintenance is a sequential evaluator.
-    options.mode = CliOptions::Mode::kSequential;
   }
   if (options.serve && options.interactive) {
     return UsageError("--serve and --interactive are exclusive");
@@ -572,33 +559,12 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       tracer = std::make_unique<Tracer>(1, RingCapacity(options));
     }
     EvalStats stats;
-    if (options.incremental) {
-      // One-shot run through the maintenance engine: seed its (empty)
-      // database with everything loaded into edb, evaluate, and copy
-      // the fixpoint back so the dump/save/query paths below see it.
-      StatusOr<IncrementalEvaluator> eval =
-          IncrementalEvaluator::Create(*program, info);
-      if (!eval.ok()) return eval.status();
-      for (const auto& [pred, rel] : edb.relations()) {
-        if (info.IsDerived(pred)) continue;
-        for (size_t i = 0; i < rel->size(); ++i) {
-          StatusOr<bool> added = eval->AddFact(pred, rel->row(i));
-          if (!added.ok()) return added.status();
-        }
-      }
-      StatusOr<EvalStats> batch = eval->Evaluate();
-      if (!batch.ok()) return batch.status();
-      stats = *batch;
-      for (const auto& [pred, rel] : eval->db().relations()) {
-        edb.GetOrCreate(pred, rel->arity()).InsertAll(*rel);
-      }
-      out += "mode: sequential incremental\n";
-    } else if (options.mode == CliOptions::Mode::kSequential) {
+    if (options.mode == CliOptions::Mode::kSequential) {
       EvalOptions eopts;
       eopts.stratified = options.stratified;
       if (tracer != nullptr) eopts.trace = tracer->ring(0);
-      PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(*program, info, &edb,
-                                                 &stats, nullptr, eopts));
+      PDATALOG_RETURN_IF_ERROR(
+          SemiNaiveEvaluate(*program, info, &edb, &stats, eopts));
       out += options.stratified
                  ? "mode: sequential semi-naive (stratified)\n"
                  : "mode: sequential semi-naive\n";

@@ -24,10 +24,6 @@
 //     --interactive             after evaluation, read query atoms from
 //                               stdin (one per line; blank line or EOF
 //                               quits) and print their bindings
-//     --incremental             sequential mode only: evaluate through
-//                               the incremental maintenance engine
-//                               (eval/incremental.h) instead of the
-//                               batch evaluator; same least model
 //     --serve[=PORT]            serving mode: materialize the fixpoint
 //                               once, then answer the line protocol
 //                               (docs/cli.md) on stdin/stdout until EOF
@@ -150,9 +146,6 @@ struct CliOptions {
   std::string query;  // single-atom query, e.g. "anc(a, X)"
   std::string save_directory;
   bool interactive = false;
-  // --incremental: run the sequential one-shot through the incremental
-  // maintenance engine (forces Mode::kSequential).
-  bool incremental = false;
   // --serve[=PORT]: resident serving mode. serve_port -1 = stdio only;
   // [0, 65535] = also listen on 127.0.0.1 (0 picks an ephemeral port).
   bool serve = false;

@@ -1,10 +1,13 @@
 #include "eval/incremental.h"
 
+#include "obs/trace.h"
+
 namespace pdatalog {
 
 StatusOr<IncrementalEvaluator> IncrementalEvaluator::Create(
-    const Program& program, const ProgramInfo& info) {
-  IncrementalEvaluator evaluator(&program, &info);
+    const Program& program, const ProgramInfo& info,
+    const EvalOptions& options, Database&& db) {
+  IncrementalEvaluator evaluator(&program, &info, options);
 
   // Compile with *every* predicate delta-tracked: base atoms get delta
   // variants too, so newly added facts drive rounds exactly like newly
@@ -15,10 +18,11 @@ StatusOr<IncrementalEvaluator> IncrementalEvaluator::Create(
   }
   all_delta.base.clear();
   StatusOr<CompiledProgram> compiled =
-      CompiledProgram::Compile(program, all_delta);
+      CompiledProgram::Compile(program, all_delta, options);
   if (!compiled.ok()) return compiled.status();
   evaluator.compiled_ = std::move(*compiled);
 
+  evaluator.db_ = std::move(db);
   for (Symbol p : info.predicates) {
     evaluator.db_.GetOrCreate(p, info.arity.at(p));
     evaluator.marks_.emplace(p, Watermark{});
@@ -44,68 +48,99 @@ StatusOr<EvalStats> IncrementalEvaluator::Evaluate() {
   EvalStats batch;
   ExecStats exec;
 
-  // Rules with empty bodies (programmatically built fact-rules) fire
-  // once, on the first Evaluate() only.
-  if (first_run_) {
-    first_run_ = false;
-    for (size_t r = 0; r < program_->rules.size(); ++r) {
-      const Rule& rule = program_->rules[r];
-      if (!rule.body.empty()) continue;
-      Relation* head_rel = db_.Find(rule.head.predicate);
-      JoinExecutor::Execute(
-          compiled_.rules()[r].full, {}, nullptr,
-          [&](const Value* values, int n) {
-            if (head_rel->InsertView(values, n)) ++batch.tuples_inserted;
-          },
-          &exec, &scratch_);
+  // One BatchInserter per head relation: firings buffer and flush
+  // through InsertBlock (tight hash loop + prefetched dedup probes)
+  // instead of paying one dependent random load per firing. Flushed
+  // after every Execute call, so every point that reads a relation's
+  // size sees the same state as the unbuffered path.
+  std::unordered_map<Relation*, BatchInserter> inserters;
+  // Runs one rule variant into `head`. A variant with an empty input
+  // window cannot fire and is skipped, so only the indexes of variants
+  // that actually run are built.
+  auto run = [&](const CompiledRule& plan, Relation* head,
+                 const std::vector<AtomInput>& inputs) {
+    for (const AtomInput& input : inputs) {
+      if (input.begin == input.end) return;
     }
-  }
+    for (const auto& [pred, mask] : plan.required_indexes()) {
+      db_.Find(pred)->EnsureIndex(mask);
+    }
+    BatchInserter* ins = &inserters.try_emplace(head, head).first->second;
+    JoinExecutor::Execute(
+        plan, inputs, nullptr,
+        [&](const Value* values, int n) {
+          batch.tuples_inserted += ins->Push(values, n);
+        },
+        &exec, &scratch_);
+    batch.tuples_inserted += ins->Flush();
+  };
 
   while (true) {
     // Freeze this round's windows; anything appended since the last
-    // round (new facts or derived tuples) becomes the delta.
-    bool any_delta = false;
+    // round (new facts or derived tuples) becomes the delta. The
+    // evaluator's first round always runs (it fires empty-body rules).
+    const bool opening = first_run_;
+    first_run_ = false;
+    bool any_delta = opening;
     for (auto& [p, mark] : marks_) {
       mark.cur_end = db_.Find(p)->size();
       if (mark.cur_end > mark.old_end) any_delta = true;
     }
     if (!any_delta) break;
-    ++batch.rounds;
 
-    for (const auto& [pred, mask] : compiled_.required_indexes()) {
-      db_.Find(pred)->EnsureIndex(mask);
+    const uint32_t round = static_cast<uint32_t>(batch.rounds++);
+    if (round > 0 && options_.trace != nullptr) {
+      options_.trace->Instant(TracePhase::kRound, round);
     }
-
+    TraceScope span(options_.trace,
+                    round == 0 ? TracePhase::kInit : TracePhase::kProbe,
+                    round);
     for (size_t r = 0; r < program_->rules.size(); ++r) {
       const Rule& rule = program_->rules[r];
       const auto& variants = compiled_.rules()[r];
-      Relation* head_rel = db_.Find(rule.head.predicate);
+      Relation* head = db_.Find(rule.head.predicate);
+      std::vector<AtomInput> inputs(rule.body.size());
+
+      if (opening) {
+        // Round 0 of a from-scratch evaluation: exit rules (no derived
+        // body atom) fire their full variant over everything once.
+        // Rules reading a derived predicate wait a round.
+        bool exit_rule = true;
+        for (size_t b = 0; b < rule.body.size(); ++b) {
+          const Atom& atom = rule.body[b];
+          if (info_->IsDerived(atom.predicate)) exit_rule = false;
+          inputs[b] = AtomInput{db_.Find(atom.predicate), 0,
+                                marks_.at(atom.predicate).cur_end};
+        }
+        if (exit_rule) run(variants.full, head, inputs);
+        continue;
+      }
+
+      // Each rule runs once per body occurrence, with that occurrence
+      // reading the delta window, earlier occurrences reading the
+      // pre-round prefix, and later ones everything up to the round
+      // start.
       for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-        std::vector<AtomInput> inputs(rule.body.size());
-        bool empty_delta = false;
         for (size_t b = 0; b < rule.body.size(); ++b) {
           const Relation* rel = db_.Find(rule.body[b].predicate);
           const Watermark& mark = marks_.at(rule.body[b].predicate);
           if (static_cast<int>(b) == delta_idx) {
             inputs[b] = AtomInput{rel, mark.old_end, mark.cur_end};
-            if (mark.old_end == mark.cur_end) empty_delta = true;
           } else if (static_cast<int>(b) < delta_idx) {
             inputs[b] = AtomInput{rel, 0, mark.old_end};
           } else {
             inputs[b] = AtomInput{rel, 0, mark.cur_end};
           }
         }
-        if (empty_delta) continue;
-        JoinExecutor::Execute(
-            delta_rule, inputs, nullptr,
-            [&](const Value* values, int n) {
-              if (head_rel->InsertView(values, n)) ++batch.tuples_inserted;
-            },
-            &exec, &scratch_);
+        run(delta_rule, head, inputs);
       }
     }
 
     for (auto& [p, mark] : marks_) {
+      // The opening round joined no derived atom, so a derived
+      // predicate's whole prefix (preloaded rows included) stays the
+      // next round's delta.
+      if (opening && info_->IsDerived(p)) continue;
       mark.old_end = mark.cur_end;
     }
   }

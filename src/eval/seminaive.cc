@@ -1,10 +1,9 @@
 #include "eval/seminaive.h"
 
 #include <algorithm>
-#include <unordered_map>
 
+#include "eval/incremental.h"
 #include "eval/stratify.h"
-#include "obs/trace.h"
 
 namespace pdatalog {
 
@@ -47,170 +46,50 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
 
 namespace {
 
-struct Watermark {
-  size_t old_end = 0;
-  size_t cur_end = 0;
-};
+// One from-scratch evaluation: an IncrementalEvaluator adopts `db` (its
+// relations move in and back out; no row is copied) and runs one batch.
+Status EvaluateBatch(const Program& program, const ProgramInfo& info,
+                     Database* db, EvalStats* stats,
+                     const EvalOptions& options) {
+  StatusOr<IncrementalEvaluator> evaluator =
+      IncrementalEvaluator::Create(program, info, options, std::move(*db));
+  if (!evaluator.ok()) return evaluator.status();
+  StatusOr<EvalStats> batch = evaluator->Evaluate();
+  *db = evaluator->ReleaseDatabase();
+  if (!batch.ok()) return batch.status();
+  stats->rounds += batch->rounds;
+  stats->firings += batch->firings;
+  stats->tuples_inserted += batch->tuples_inserted;
+  stats->rows_examined += batch->rows_examined;
+  return Status::Ok();
+}
 
 }  // namespace
 
 Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
                          Database* db, EvalStats* stats,
-                         const ConstraintEvaluator* constraint_eval,
                          const EvalOptions& options) {
-  if (options.stratified) {
-    // Evaluate the condensation bottom-up: each stratum's rules form a
-    // sub-program in which lower-strata predicates classify as base
-    // (their relations in `db` are already complete and frozen).
-    Stratification strat = Stratify(program, info);
-    EvalOptions sub_options = options;
-    sub_options.stratified = false;
-    for (Symbol p : info.predicates) {
-      db->GetOrCreate(p, info.arity.at(p));
-    }
-    for (size_t s = 0; s < strat.strata.size(); ++s) {
-      Program sub;
-      sub.symbols = program.symbols;
-      for (int r : strat.rules_by_stratum[s]) {
-        sub.rules.push_back(program.rules[r]);
-      }
-      ProgramInfo sub_info;
-      PDATALOG_RETURN_IF_ERROR(Validate(sub, &sub_info));
-      EvalStats sub_stats;
-      PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(
-          sub, sub_info, db, &sub_stats, constraint_eval, sub_options));
-      stats->rounds += sub_stats.rounds;
-      stats->firings += sub_stats.firings;
-      stats->tuples_inserted += sub_stats.tuples_inserted;
-      stats->rows_examined += sub_stats.rows_examined;
-    }
-    return Status::Ok();
+  if (!options.stratified) {
+    return EvaluateBatch(program, info, db, stats, options);
   }
-
-  StatusOr<CompiledProgram> compiled =
-      CompiledProgram::Compile(program, info, options);
-  if (!compiled.ok()) return compiled.status();
-
-  // Materialize every predicate's relation (base ones may be absent from
-  // db if no facts were loaded; derived ones start empty).
+  // Evaluate the condensation bottom-up: each stratum's rules form a
+  // sub-program in which lower-strata predicates classify as base
+  // (their relations in `db` are already complete and frozen).
+  Stratification strat = Stratify(program, info);
   for (Symbol p : info.predicates) {
     db->GetOrCreate(p, info.arity.at(p));
   }
-
-  std::unordered_map<Symbol, Watermark> marks;
-  for (Symbol p : info.derived) marks.emplace(p, Watermark{});
-
-  ExecStats exec_stats;
-  JoinScratch scratch;
-
-  auto ensure_indexes = [&] {
-    for (const auto& [pred, mask] : compiled->required_indexes()) {
-      db->GetOrCreate(pred, info.arity.at(pred)).EnsureIndex(mask);
+  for (size_t s = 0; s < strat.strata.size(); ++s) {
+    Program sub;
+    sub.symbols = program.symbols;
+    for (int r : strat.rules_by_stratum[s]) {
+      sub.rules.push_back(program.rules[r]);
     }
-  };
-
-  // One BatchInserter per head relation: firings buffer and flush
-  // through InsertBlock (tight hash loop + prefetched dedup probes)
-  // instead of paying one dependent random load per firing. Flushed
-  // after every Execute call, so every point that reads a relation's
-  // size sees the same state as the unbuffered path.
-  std::unordered_map<Relation*, BatchInserter> inserters;
-  auto make_sink = [&](Relation* rel) {
-    BatchInserter* ins = &inserters.try_emplace(rel, rel).first->second;
-    return [ins, stats](const Value* values, int n) {
-      stats->tuples_inserted += ins->Push(values, n);
-    };
-  };
-  auto flush_sink = [&](Relation* rel) {
-    stats->tuples_inserted += inserters.at(rel).Flush();
-  };
-
-  // Round 0: rules without derived body atoms (exit rules) fire once.
-  ensure_indexes();
-  {
-    TraceScope init(options.trace, TracePhase::kInit);
-    for (size_t r = 0; r < program.rules.size(); ++r) {
-      const auto& variants = compiled->rules()[r];
-      if (variants.has_derived_body) continue;
-      const Rule& rule = program.rules[r];
-      Relation* head_rel = db->Find(rule.head.predicate);
-      std::vector<AtomInput> inputs(rule.body.size());
-      for (size_t i = 0; i < rule.body.size(); ++i) {
-        const Relation* rel = db->Find(rule.body[i].predicate);
-        inputs[i] = AtomInput{rel, 0, rel->size()};
-      }
-      JoinExecutor::Execute(variants.full, inputs, constraint_eval,
-                            make_sink(head_rel), &exec_stats, &scratch);
-      flush_sink(head_rel);
-    }
+    ProgramInfo sub_info;
+    PDATALOG_RETURN_IF_ERROR(Validate(sub, &sub_info));
+    PDATALOG_RETURN_IF_ERROR(
+        EvaluateBatch(sub, sub_info, db, stats, options));
   }
-  stats->rounds = 1;
-  for (auto& [p, mark] : marks) {
-    mark.cur_end = db->Find(p)->size();
-  }
-
-  // Semi-naive rounds: each recursive rule runs once per derived body
-  // occurrence, with that occurrence reading the delta window, earlier
-  // derived occurrences reading the pre-round prefix, and later ones
-  // reading everything up to the round start.
-  while (true) {
-    bool any_delta = false;
-    for (const auto& [p, mark] : marks) {
-      if (mark.cur_end > mark.old_end) any_delta = true;
-    }
-    if (!any_delta) break;
-
-    ensure_indexes();
-    if (options.trace != nullptr) {
-      options.trace->Instant(TracePhase::kRound,
-                             static_cast<uint32_t>(stats->rounds));
-    }
-    {
-      TraceScope probe(options.trace, TracePhase::kProbe,
-                       static_cast<uint32_t>(stats->rounds));
-      for (size_t r = 0; r < program.rules.size(); ++r) {
-        const auto& variants = compiled->rules()[r];
-        if (!variants.has_derived_body) continue;
-        const Rule& rule = program.rules[r];
-        Relation* head_rel = db->Find(rule.head.predicate);
-
-        for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-          std::vector<AtomInput> inputs(rule.body.size());
-          bool empty_delta = false;
-          for (size_t i = 0; i < rule.body.size(); ++i) {
-            const Atom& atom = rule.body[i];
-            const Relation* rel = db->Find(atom.predicate);
-            if (!info.IsDerived(atom.predicate)) {
-              inputs[i] = AtomInput{rel, 0, rel->size()};
-              continue;
-            }
-            const Watermark& mark = marks.at(atom.predicate);
-            if (static_cast<int>(i) == delta_idx) {
-              inputs[i] = AtomInput{rel, mark.old_end, mark.cur_end};
-              if (mark.old_end == mark.cur_end) empty_delta = true;
-            } else if (static_cast<int>(i) < delta_idx) {
-              inputs[i] = AtomInput{rel, 0, mark.old_end};
-            } else {
-              inputs[i] = AtomInput{rel, 0, mark.cur_end};
-            }
-          }
-          if (empty_delta) continue;
-          JoinExecutor::Execute(delta_rule, inputs, constraint_eval,
-                                make_sink(head_rel), &exec_stats, &scratch);
-          flush_sink(head_rel);
-        }
-      }
-    }
-
-    ++stats->rounds;
-    for (auto& [p, mark] : marks) {
-      mark.old_end = mark.cur_end;
-      mark.cur_end = db->Find(p)->size();
-    }
-  }
-
-  stats->firings += exec_stats.firings;
-  stats->rows_examined += exec_stats.rows_examined;
   return Status::Ok();
 }
 

@@ -22,6 +22,7 @@ struct EvalOptions {
   // true: evaluate stratum by stratum (SCCs of the dependency graph in
   // topological order; see eval/stratify.h) so rules never rerun while
   // predicates they depend on, but do not feed, are still growing.
+  // Read by SemiNaiveEvaluate; IncrementalEvaluator ignores it.
   bool stratified = false;
   // Observability: when set, the evaluator records init/probe phase
   // spans and round instants on `ring`. The ring must belong to the
@@ -67,12 +68,12 @@ class CompiledProgram {
 };
 
 // Evaluates `program` over the facts already loaded in `db`, writing
-// derived relations into `db`. `constraint_eval` must be non-null iff
-// any rule carries hash constraints (used by the parallel workers'
-// local programs; plain programs pass nullptr).
+// derived relations into `db`. This is the first batch of an
+// IncrementalEvaluator (eval/incremental.h) that adopts `db` for the
+// call: the loaded facts are the first delta. With
+// `options.stratified`, one such batch runs per stratum.
 Status SemiNaiveEvaluate(const Program& program, const ProgramInfo& info,
                          Database* db, EvalStats* stats,
-                         const ConstraintEvaluator* constraint_eval = nullptr,
                          const EvalOptions& options = {});
 
 }  // namespace pdatalog

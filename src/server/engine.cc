@@ -55,18 +55,14 @@ StatusOr<std::unique_ptr<ServerEngine>> ServerEngine::Create(
   engine->program_ = std::move(*program);
   PDATALOG_RETURN_IF_ERROR(Validate(engine->program_, &engine->info_));
 
-  StatusOr<IncrementalEvaluator> eval =
-      IncrementalEvaluator::Create(engine->program_, engine->info_);
+  // Start-up is a one-shot evaluation: the program's own facts are the
+  // evaluator's first batch, exactly as in SemiNaiveEvaluate.
+  Database facts;
+  PDATALOG_RETURN_IF_ERROR(facts.LoadFacts(engine->program_));
+  StatusOr<IncrementalEvaluator> eval = IncrementalEvaluator::Create(
+      engine->program_, engine->info_, {}, std::move(facts));
   if (!eval.ok()) return eval.status();
   engine->eval_.emplace(std::move(*eval));
-
-  // The incremental evaluator starts from an empty database: the
-  // program's own facts are the first "update batch".
-  for (const Atom& fact : engine->program_.facts) {
-    StatusOr<bool> added =
-        engine->eval_->AddFact(fact.predicate, TupleFromGroundAtom(fact));
-    if (!added.ok()) return added.status();
-  }
   StatusOr<EvalStats> stats = engine->eval_->Evaluate();
   if (!stats.ok()) return stats.status();
 

@@ -570,33 +570,40 @@ TEST(SequentialTraceTest, EvaluatorEmitsInitAndRounds) {
       testing_util::ParseOrDie(testing_util::kAncestorProgram, &symbols);
   ProgramInfo info = testing_util::ValidateOrDie(program);
   Database db;
-  GenChain(&symbols, &db, "par", 10);
+  GenChain(&symbols, &db, "par", 50);
 
   Tracer tracer(1);
   EvalStats stats;
   EvalOptions options;
   options.trace = tracer.ring(0);
-  ASSERT_TRUE(
-      SemiNaiveEvaluate(program, info, &db, &stats, nullptr, options).ok());
-  EXPECT_GT(stats.rounds, 1);
+  ASSERT_TRUE(SemiNaiveEvaluate(program, info, &db, &stats, options).ok());
+  // Round 0 derives the 50 one-edge paths, round k the (k+1)-edge
+  // paths, and round 50 finds nothing new.
+  ASSERT_EQ(stats.rounds, 51);
 
   const TraceRing& ring = *tracer.ring(0);
-  size_t init_spans = 0, round_instants = 0, probe_spans = 0;
+  size_t init_spans = 0, probe_spans = 0;
+  std::vector<uint32_t> round_instants;
   for (size_t i = 0; i < ring.size(); ++i) {
     const TraceEvent& e = ring.event(i);
     if (e.phase == TracePhase::kInit &&
         e.kind == TraceEventKind::kBegin) {
       ++init_spans;
     }
-    if (e.phase == TracePhase::kRound) ++round_instants;
+    if (e.phase == TracePhase::kRound) round_instants.push_back(e.arg);
     if (e.phase == TracePhase::kProbe &&
         e.kind == TraceEventKind::kBegin) {
       ++probe_spans;
     }
   }
   EXPECT_EQ(init_spans, 1u);
-  EXPECT_EQ(round_instants, static_cast<size_t>(stats.rounds - 1));
+  // One kRound instant and one kProbe span per round after the first,
+  // the instants numbered 1, 2, ... in order.
   EXPECT_EQ(probe_spans, static_cast<size_t>(stats.rounds - 1));
+  ASSERT_EQ(round_instants.size(), static_cast<size_t>(stats.rounds - 1));
+  for (size_t k = 0; k < round_instants.size(); ++k) {
+    EXPECT_EQ(round_instants[k], k + 1);
+  }
 }
 
 }  // namespace

@@ -51,9 +51,7 @@ TEST(RobustnessTest, DeepDerivationChainEvaluates) {
   EvalOptions options;
   options.stratified = true;
   EvalStats stats2;
-  ASSERT_TRUE(
-      SemiNaiveEvaluate(program, info, &db2, &stats2, nullptr, options)
-          .ok());
+  ASSERT_TRUE(SemiNaiveEvaluate(program, info, &db2, &stats2, options).ok());
   EXPECT_EQ(db2.Find(symbols.Lookup("p999"))->size(), 1u);
 }
 

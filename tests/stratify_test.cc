@@ -102,9 +102,8 @@ TEST(StratifyTest, StratifiedEvaluationMatchesMonolithic) {
     EvalOptions options;
     options.stratified = true;
     EvalStats strat;
-    ASSERT_TRUE(SemiNaiveEvaluate(*program, info, &strat_db, &strat,
-                                  nullptr, options)
-                    .ok());
+    ASSERT_TRUE(
+        SemiNaiveEvaluate(*program, info, &strat_db, &strat, options).ok());
 
     for (Symbol p : info.derived) {
       EXPECT_EQ(strat_db.Find(p)->ToSortedString(symbols),
@@ -139,9 +138,7 @@ TEST(StratifyTest, StratifiedSavesWastedVariantRuns) {
     EvalOptions options;
     options.stratified = stratified;
     EvalStats stats;
-    EXPECT_TRUE(
-        SemiNaiveEvaluate(program, info, &db, &stats, nullptr, options)
-            .ok());
+    EXPECT_TRUE(SemiNaiveEvaluate(program, info, &db, &stats, options).ok());
     return stats;
   };
 
