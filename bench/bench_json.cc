@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <thread>
 
 namespace pdatalog {
 namespace bench {
@@ -78,7 +79,10 @@ JsonRecord& BenchJson::NewRecord() {
 }
 
 std::string BenchJson::ToString() const {
-  std::string out = "{\n  \"bench\": " + Quote(name_) + ",\n  \"records\": [";
+  // "cores": hardware threads of the machine the records come from.
+  std::string out = "{\n  \"bench\": " + Quote(name_) + ",\n  \"cores\": " +
+                    std::to_string(std::thread::hardware_concurrency()) +
+                    ",\n  \"records\": [";
   for (size_t i = 0; i < records_.size(); ++i) {
     out += i > 0 ? ",\n    " : "\n    ";
     out += records_[i].ToString();

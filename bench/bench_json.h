@@ -30,7 +30,8 @@ class JsonRecord {
   std::vector<std::pair<std::string, std::string>> fields_;
 };
 
-// A named collection of records: {"bench": <name>, "records": [...]}.
+// A named collection of records:
+// {"bench": <name>, "cores": <hardware threads>, "records": [...]}.
 class BenchJson {
  public:
   explicit BenchJson(std::string name) : name_(std::move(name)) {}

@@ -47,7 +47,6 @@ Status UsageError(const std::string& message) {
       " [--rho=R] [--seed=S] [--dump=pred] [--facts=pred:file]"
       " [--faults=drop:P,dup:P,reorder:P,corrupt:P,delay:P,polls:N]"
       " [--retransmit] [--block-tuples=N]"
-      " [--transport=mutex|spsc] [--transport-ring=N]"
       " [--rebalance-skew=R] [--rebalance-buckets=N]"
       " [--trace=FILE] [--metrics=FILE] [--profile[=FILE]]"
       " [--trace-ring-kb=N]"
@@ -346,19 +345,6 @@ StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
                           std::to_string(kMaxBlockTuples) + "]");
       }
       options.block_tuples = value;
-    } else if (ConsumePrefix(arg, "--transport=", &rest)) {
-      TransportKind kind;
-      if (!ParseTransportKind(rest, &kind)) {
-        return UsageError("unknown transport '" + rest +
-                          "' (mutex or spsc)");
-      }
-      options.transport = rest;
-    } else if (ConsumePrefix(arg, "--transport-ring=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 2 || value > (1 << 20)) {
-        return UsageError("transport-ring must be in [2, 1048576]");
-      }
-      options.transport_ring = value;
     } else if (ConsumePrefix(arg, "--trace=", &rest)) {
       if (rest.empty()) return UsageError("--trace needs a file path");
       options.trace_file = rest;
@@ -655,10 +641,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
 
   out += "mode: parallel, " + std::to_string(options.processors) +
          " processors\nscheme: " + scheme_note + "\n";
-  // Non-default backend only, so existing report expectations hold.
-  if (options.transport != "mutex") {
-    out += "transport: " + options.transport + "\n";
-  }
   if (options.print_programs) {
     for (int i = 0; i < bundle->num_processors; ++i) {
       out += "-- processor " + std::to_string(i) + " --\n";
@@ -671,9 +653,6 @@ StatusOr<std::string> RunCli(const CliOptions& options,
   popts.faults.seed = options.seed;
   popts.retransmit = options.retransmit;
   popts.block_tuples = options.block_tuples;
-  // Parse already validated the name; default stays kMutex.
-  ParseTransportKind(options.transport, &popts.transport);
-  popts.transport_ring_frames = options.transport_ring;
   // Corruption flips wire bytes, so it needs the serialized channels.
   if (popts.faults.corrupt > 0) popts.serialize_messages = true;
   popts.rebalance.skew_threshold = options.rebalance_skew;

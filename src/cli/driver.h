@@ -67,14 +67,6 @@
 //                               (destination, predicate) and ship as one
 //                               frame per block, flushing mid-round at N
 //                               tuples (default 256; 1 = per-tuple frames)
-//     --transport=mutex|spsc    channel data-movement backend (parallel
-//                               mode): the reference mutex queue
-//                               (default) or a bounded lock-free SPSC
-//                               ring per channel. Faults/retransmit run
-//                               on the mutex slow path either way, so
-//                               results are identical
-//     --transport-ring=N        SPSC ring capacity in frames (default 0
-//                               = auto-scale with --processors)
 //     --rebalance-skew=R        parallel mode: enable skew-adaptive
 //                               repartitioning — when max/mean busy time
 //                               reaches R (>= 1), the hottest hash bucket
@@ -170,10 +162,6 @@ struct CliOptions {
   FaultSpec faults;
   bool retransmit = false;
   int block_tuples = 256;
-  // --transport / --transport-ring (parallel mode only). Validated at
-  // parse time; "mutex" or "spsc".
-  std::string transport = "mutex";
-  int transport_ring = 0;
   // --rebalance-skew / --rebalance-buckets (parallel mode only;
   // 0 = rebalancing off).
   double rebalance_skew = 0.0;

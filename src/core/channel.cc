@@ -2,107 +2,48 @@
 
 #include <cassert>
 
-#include "core/transport.h"
 #include "core/wire.h"
 #include "obs/trace.h"
 
 namespace pdatalog {
 
-Channel::Channel() : transport_(MakeTransport(TransportKind::kMutex)) {}
-Channel::~Channel() = default;
-
-void Channel::set_transport(std::unique_ptr<Transport> transport) {
-  assert(transport != nullptr);
-  assert(!transport_->HasPending());
-  transport_ = std::move(transport);
-}
-
 // --- send / drain ---
 //
 // Fast path (no faults, no retransmit): accounting via single increments
-// on the atomic counters, flow instant, then hand the frame to the
-// transport. The counter bump happens before the frame is published, so
-// a receiver that observed the frame also observes counters covering it
+// on the atomic counters, flow instant, then append to the queue under
+// mutex_. The counter bump happens before the frame is published, so a
+// receiver that observed the frame also observes counters covering it
 // (the Mattern detector's CountSend in the worker has the same
-// ordering). Slow path: everything under mutex_, transport unused.
-
-void Channel::Send(Message message) {
-  total_bytes_.fetch_add(message.WireBytes(), std::memory_order_relaxed);
-  total_sent_.fetch_add(1, std::memory_order_relaxed);
-  uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    EnqueueBlockLocked(BlockOfOne(std::move(message)));
-    return;
-  }
-  NoteFlowSend(frame);
-  transport_->SendBlock(BlockOfOne(std::move(message)));
-}
-
-void Channel::SendBatch(std::vector<Message>* batch) {
-  if (batch->empty()) return;
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (Message& m : *batch) {
-      total_bytes_.fetch_add(m.WireBytes(), std::memory_order_relaxed);
-      total_sent_.fetch_add(1, std::memory_order_relaxed);
-      total_frames_.fetch_add(1, std::memory_order_relaxed);
-      EnqueueBlockLocked(BlockOfOne(std::move(m)));
-    }
-    batch->clear();
-    return;
-  }
-  // One block frame per message, published as a batch (one index store
-  // on the ring backend).
-  std::vector<TupleBlock> blocks;
-  blocks.reserve(batch->size());
-  for (Message& m : *batch) {
-    total_bytes_.fetch_add(m.WireBytes(), std::memory_order_relaxed);
-    total_sent_.fetch_add(1, std::memory_order_relaxed);
-    uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
-    NoteFlowSend(frame);
-    blocks.push_back(BlockOfOne(std::move(m)));
-  }
-  batch->clear();
-  transport_->SendBlocks(blocks.data(), blocks.size());
-}
+// ordering). Slow path: the seq-stamped Extras queues, same lock.
 
 void Channel::SendBlock(TupleBlock block) {
   total_bytes_.fetch_add(block.WireBytes(), std::memory_order_relaxed);
   total_sent_.fetch_add(block.count, std::memory_order_relaxed);
   uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
+  if (fx_ == nullptr) NoteFlowSend(frame);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
     EnqueueBlockLocked(std::move(block));
-    return;
+  } else {
+    queue_.push_back(std::move(block));
   }
-  NoteFlowSend(frame);
-  transport_->SendBlock(std::move(block));
 }
 
 size_t Channel::DrainBlocks(std::vector<TupleBlock>* out) {
   size_t start = out->size();
-  if (fx_ != nullptr) {
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    DrainBlocksLocked(out);
-  } else {
-    size_t frames = transport_->DrainBlocks(out);
-    NoteFlowRecv(frames);
-  }
-  size_t tuples = 0;
-  for (size_t i = start; i < out->size(); ++i) tuples += (*out)[i].count;
-  return tuples;
-}
-
-size_t Channel::Drain(std::vector<Message>* out) {
-  std::vector<TupleBlock> blocks;
-  size_t tuples = DrainBlocks(&blocks);
-  out->reserve(out->size() + tuples);
-  for (TupleBlock& b : blocks) {
-    for (uint32_t r = 0; r < b.count; ++r) {
-      out->push_back(Message{b.predicate, Tuple(b.row(r), b.arity)});
+    if (fx_ != nullptr) {
+      DrainBlocksLocked(out);
+    } else {
+      out->reserve(start + queue_.size());
+      for (TupleBlock& b : queue_) out->push_back(std::move(b));
+      queue_.clear();
     }
   }
+  if (fx_ == nullptr) NoteFlowRecv(out->size() - start);
+  size_t tuples = 0;
+  for (size_t i = start; i < out->size(); ++i) tuples += (*out)[i].count;
   return tuples;
 }
 
@@ -110,37 +51,39 @@ void Channel::SendBytes(std::vector<uint8_t> bytes, uint32_t tuples) {
   total_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
   total_sent_.fetch_add(tuples, std::memory_order_relaxed);
   uint64_t frame = total_frames_.fetch_add(1, std::memory_order_relaxed);
+  if (fx_ == nullptr) NoteFlowSend(frame);
+  std::lock_guard<std::mutex> lock(mutex_);
   if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
     SendBytesLocked(std::move(bytes));
-    return;
+  } else {
+    byte_queue_.push_back(std::move(bytes));
   }
-  NoteFlowSend(frame);
-  transport_->SendBytes(std::move(bytes));
 }
 
 size_t Channel::DrainBytes(std::vector<std::vector<uint8_t>>* out) {
-  if (fx_ != nullptr) {
+  size_t frames;
+  {
     std::lock_guard<std::mutex> lock(mutex_);
-    return DrainBytesLocked(out);
+    if (fx_ != nullptr) return DrainBytesLocked(out);
+    frames = byte_queue_.size();
+    out->reserve(out->size() + frames);
+    for (auto& b : byte_queue_) out->push_back(std::move(b));
+    byte_queue_.clear();
   }
-  size_t frames = transport_->DrainBytes(out);
   NoteFlowRecv(frames);
   return frames;
 }
 
 bool Channel::HasPending() const {
-  if (fx_ != nullptr) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return HasPendingLocked();
-  }
-  return transport_->HasPending();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (fx_ != nullptr) return HasPendingLocked();
+  return !queue_.empty() || !byte_queue_.empty();
 }
 
 Channel::Extras& Channel::EnsureExtras() {
   // Configuration happens before the run; nothing may be in flight when
   // the channel switches to the slow path.
-  assert(!transport_->HasPending());
+  assert(queue_.empty() && byte_queue_.empty());
   if (fx_ == nullptr) fx_ = std::make_unique<Extras>();
   return *fx_;
 }

@@ -11,26 +11,20 @@
 // so the Mattern termination counters and the channel matrix keep their
 // paper semantics; frames are tracked separately.
 //
-// Data movement itself is delegated to a pluggable Transport
-// (core/transport.h): the default is the original mutex-guarded queue,
-// and the engine can install a lock-free bounded SPSC ring per channel
-// instead (--transport=spsc). The Channel keeps everything that must be
-// backend-independent: tuple/byte/frame accounting, flow-trace
-// instants, and the fault-injection / retransmit machinery below.
+// A channel moves frames through one mutex-guarded pair of queues: one
+// for TupleBlocks (shared memory) and one for encoded byte frames
+// (message passing, core/wire.h). Senders append under the lock; the
+// receiver drains the whole backlog under one lock acquisition.
 //
 // The reliability assumption is exactly that — an assumption — so the
 // channel also supports a deterministic fault-injection mode
 // (core/fault.h) that violates it on purpose, and an optional
 // at-least-once retransmit protocol (per-channel sequence numbers,
 // receiver-side dedup and in-order delivery, sender-side resend of
-// unacknowledged frames) that restores it. Both are opt-in, and both
-// run on a mutex-guarded slow path regardless of the installed
-// transport: reordering, delaying, and acknowledging frames are queue
-// surgery that a lock-free ring cannot express, and a channel whose
-// reliability is being deliberately violated has nothing to gain from
-// a lock-free fast path. Faults and sequence numbers apply per block: a
-// dropped block loses all its tuples, one retransmission recovers all
-// of them.
+// unacknowledged frames) that restores it. Both are opt-in and run on
+// seq-stamped slow-path queues under the same mutex. Faults and
+// sequence numbers apply per block: a dropped block loses all its
+// tuples, one retransmission recovers all of them.
 #ifndef PDATALOG_CORE_CHANNEL_H_
 #define PDATALOG_CORE_CHANNEL_H_
 
@@ -50,26 +44,19 @@
 namespace pdatalog {
 
 class TraceRing;  // obs/trace.h; receive-side discard instants
-class Transport;  // core/transport.h; pluggable data movement
 
-// Single source of truth for the fixed wire encodings' layout
-// (core/wire.cc implements the encoders against these constants;
-// tests/wire_test.cc asserts WireBytes() == EncodeMessage().size()
-// across arities so the byte statistics cannot drift from the real
-// encoder).
-//
-// Legacy per-tuple frame (little-endian):
-//   u32 predicate id | u16 arity | arity * u32 values | u32 checksum
+// Single source of truth for the block frame's layout (core/wire.cc
+// implements the encoder against these constants; tests/block_test.cc
+// asserts WireBytes() == EncodeBlock().size() across arities so the
+// byte statistics cannot drift from the real encoder).
 //
 // Block frame (little-endian):
 //   u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |
 //   count * u32 per column (columnar: column 0's values, then column
 //   1's, ...) | u32 checksum
 //
-// The arity word's high bit distinguishes the two: kBlockArityFlag |
-// arity always exceeds kMaxWireArity, so a legacy decoder rejects a
-// block frame instead of misreading it (and vice versa).
-inline constexpr size_t kWireHeaderBytes = 6;    // u32 predicate + u16 arity
+// The arity word's high bit marks the frame as a block; the decoder
+// rejects a frame without it.
 inline constexpr size_t kWireValueBytes = 4;     // u32 per column
 inline constexpr size_t kWireChecksumBytes = 4;  // FNV-1a over the frame
 inline constexpr int kMaxWireArity = 32;
@@ -81,25 +68,11 @@ inline constexpr size_t kBlockHeaderBytes = 10;
 // growth against a corrupted count field that beat the checksum.
 inline constexpr uint32_t kMaxBlockTuples = 1u << 20;
 
-constexpr size_t MessageWireBytes(int arity) {
-  return kWireHeaderBytes + static_cast<size_t>(arity) * kWireValueBytes +
-         kWireChecksumBytes;
-}
-
 constexpr size_t BlockWireBytes(int arity, uint32_t count) {
   return kBlockHeaderBytes +
          static_cast<size_t>(arity) * count * kWireValueBytes +
          kWireChecksumBytes;
 }
-
-// One tuple of a derived predicate in flight on a channel (legacy unit;
-// kept for tests and for callers that deal in single tuples).
-struct Message {
-  Symbol predicate;
-  Tuple tuple;
-
-  size_t WireBytes() const { return MessageWireBytes(tuple.arity()); }
-};
 
 // A run of same-predicate tuples shipped as one frame. Send-side blocks
 // accumulate row-major (append order) and the wire encoder transposes
@@ -138,30 +111,17 @@ struct TupleBlock {
 };
 
 // A single directed channel. Each channel has exactly one sending
-// worker and one receiving worker in the engine; the installed
-// Transport carries the frames between them (the default mutex backend
-// also tolerates multiple senders, which the stress tests exercise).
+// worker and one receiving worker in the engine (the queue also
+// tolerates multiple senders, which the stress tests exercise).
 // Accounting counters are atomics incremented on the send side and read
-// from anywhere, so the fast path takes no channel lock at all; mutex_
-// guards only the fault/retransmit slow-path state.
+// from anywhere; mutex_ guards the queues and the fault/retransmit
+// slow-path state.
 class Channel {
  public:
-  Channel();   // installs the default mutex transport
-  ~Channel();
+  Channel() = default;
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-
-  // Legacy single-tuple send: wraps the message into a one-tuple block
-  // frame. Byte accounting uses the legacy per-message layout so
-  // existing per-tuple statistics stay exact.
-  void Send(Message message);
-
-  // Sends a whole batch, one block frame per message; backends with
-  // batch publication make the entire batch visible to the receiver
-  // with a single index store (`batch` keeps its capacity for the next
-  // round).
-  void SendBatch(std::vector<Message>* batch);
 
   // Enqueues one block as one frame: one publication, one sequence
   // number, one fault-injection decision for all `block.count` tuples.
@@ -172,14 +132,9 @@ class Channel {
   // counts only newly delivered logical tuples, never duplicates.
   size_t DrainBlocks(std::vector<TupleBlock>* out);
 
-  // Legacy drain: explodes blocks back into per-tuple messages.
-  // Returns the number of tuples drained.
-  size_t Drain(std::vector<Message>* out);
-
-  // Serialized (message-passing) mode: enqueue one encoded frame
-  // carrying `tuples` tuples (a block frame, or a legacy single-message
-  // frame with the default).
-  void SendBytes(std::vector<uint8_t> bytes, uint32_t tuples = 1);
+  // Serialized (message-passing) mode: enqueue one encoded block frame
+  // carrying `tuples` tuples.
+  void SendBytes(std::vector<uint8_t> bytes, uint32_t tuples);
 
   // Drains all deliverable encoded frames (appending). Returns the
   // number of frames drained. In retransmit mode, frames whose checksum
@@ -191,12 +146,6 @@ class Channel {
   // sender action (delayed frames count; out-of-order frames held back
   // by a lost predecessor do not — those need a retransmit).
   bool HasPending() const;
-
-  // --- transport (configure before the run) ---
-
-  // Replaces the data-movement backend. Nothing may be in flight.
-  void set_transport(std::unique_ptr<Transport> transport);
-  Transport* transport() { return transport_.get(); }
 
   // --- fault injection / retransmit (configure before the run) ---
 
@@ -236,11 +185,11 @@ class Channel {
   // keep the single-writer invariant. Flow identity is (from, to,
   // per-channel frame index); nothing changes on the wire. The send
   // instant is recorded before the frame is published and the receive
-  // instant after it is drained, so the transport's happens-before
-  // publication edge keeps send ts < recv ts without any lock. Only the
-  // default fast path emits flows: once faults or retransmit are
-  // configured, delivery order no longer matches the frame counter
-  // (drops, duplicates, reordering), so flows are suppressed there.
+  // instant after it is drained, so the queue lock's happens-before
+  // edge keeps send ts < recv ts. Only the default fast path emits
+  // flows: once faults or retransmit are configured, delivery order no
+  // longer matches the frame counter (drops, duplicates, reordering),
+  // so flows are suppressed there.
   void set_flow_trace(int from, int to, TraceRing* send_ring,
                       TraceRing* recv_ring) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -280,7 +229,7 @@ class Channel {
     uint64_t drain_calls = 0;   // receiver: poll clock for delays
 
     // Seq-stamped in-flight queues (the slow path bypasses the
-    // transport entirely).
+    // fast-path queues entirely).
     std::vector<std::pair<uint64_t, TupleBlock>> queue;
     std::vector<std::pair<uint64_t, std::vector<uint8_t>>> byte_queue;
 
@@ -309,14 +258,6 @@ class Channel {
     FaultCounters counters;
   };
 
-  static TupleBlock BlockOfOne(Message message) {
-    TupleBlock block;
-    block.predicate = message.predicate;
-    block.arity = message.tuple.arity();
-    block.Append(message.tuple.data(), message.tuple.arity());
-    return block;
-  }
-
   Extras& EnsureExtras();
   // Flow-instant emitters for the fault-free fast path. `frame` is the
   // frame's index (the value total_frames_ held before that frame was
@@ -342,8 +283,10 @@ class Channel {
                           std::vector<std::vector<uint8_t>>* out,
                           size_t* delivered);
 
-  mutable std::mutex mutex_;  // slow-path (Extras) state only
-  std::unique_ptr<Transport> transport_;
+  mutable std::mutex mutex_;  // the queues below and Extras state
+  // Fast-path queues (no faults, no retransmit), FIFO and lossless.
+  std::vector<TupleBlock> queue_;
+  std::vector<std::vector<uint8_t>> byte_queue_;
   std::unique_ptr<Extras> fx_;
   TraceRing* recv_trace_ = nullptr;  // receiver's ring (drain instants)
   TraceRing* send_trace_ = nullptr;  // sender's ring (flow sends)

@@ -102,12 +102,6 @@ Status ValidateFaultSpec(const ParallelOptions& options) {
         "block_tuples must be in [1, " + std::to_string(kMaxBlockTuples) +
         "]");
   }
-  if (options.transport_ring_frames != 0 &&
-      (options.transport_ring_frames < 2 ||
-       options.transport_ring_frames > (1 << 20))) {
-    return Status::InvalidArgument(
-        "transport_ring_frames must be 0 (auto) or in [2, 1048576]");
-  }
   return Status::Ok();
 }
 
@@ -261,15 +255,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   CommNetwork network(bundle.num_processors);
   TerminationDetector detector(bundle.num_processors);
   const bool faults_on = options.faults.any();
-  if (options.transport == TransportKind::kSpsc) {
-    TransportOptions topts;
-    topts.ring_frames = static_cast<size_t>(options.transport_ring_frames);
-    // The single-threaded round-robin scheduler can never resolve a
-    // blocking send (the receiver only runs after the sender returns),
-    // so a full ring overflows to the spillway instead.
-    topts.blocking = options.use_threads;
-    InstallTransports(&network, TransportKind::kSpsc, topts);
-  }
   if (faults_on) network.InstallFaults(options.faults);
   if (options.retransmit) network.EnableRetransmit();
   if (faults_on && !options.retransmit) {
@@ -290,34 +275,11 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     (*worker)->set_serialize_messages(options.serialize_messages);
     (*worker)->set_retransmit(options.retransmit);
     (*worker)->set_block_tuples(options.block_tuples);
-    // Faults' delay mode stretches quiescence across many idle polls;
-    // spinning through those would be a busy-wait regression, so the
-    // slow path keeps the yield-then-sleep ladder even under kSpsc.
-    (*worker)->set_wait_policy(MakeIdleWaitPolicy(
-        options.transport, faults_on || options.retransmit));
     if (rebalance != nullptr) (*worker)->set_rebalance(rebalance.get());
     if (options.tracer != nullptr) {
       (*worker)->set_trace(options.tracer->ring(i));
     }
     workers.push_back(std::move(*worker));
-  }
-
-  if (options.transport == TransportKind::kSpsc && options.use_threads) {
-    // Bounded rings mean a sender can block on a full channel while
-    // every peer is also mid-round — a backpressure cycle. The stall
-    // handler breaks it: the blocked *sender* drains its own inbound
-    // channels (which always frees its peers) and keeps waiting only
-    // while the run is live; on abort the frame diverts to the
-    // transport's spillway so the receiver's exit cannot hang a sender.
-    for (int i = 0; i < bundle.num_processors; ++i) {
-      for (int j = 0; j < bundle.num_processors; ++j) {
-        network.channel(i, j).transport()->set_stall_handler(
-            [w = workers[i].get(), det = &detector]() {
-              w->DrainForStall();
-              return !det->terminated();
-            });
-      }
-    }
   }
 
   if (options.tracer != nullptr) {
@@ -446,7 +408,12 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   }
 
   // Final pooling (Section 3, step 5). Collector is processor 0: every
-  // other processor ships its t_out across the network.
+  // other processor ships its t_out across the network. run.pooling_bytes
+  // models that shipment as one frame per tuple (6-byte header, u32 per
+  // value, u32 checksum); no channel moves these bytes.
+  auto pooling_frame_bytes = [](int arity) {
+    return 6 + 4 * static_cast<uint64_t>(arity) + 4;
+  };
   {
     TraceScope pool_span(
         options.tracer != nullptr ? options.tracer->engine_ring() : nullptr,
@@ -460,7 +427,7 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
         if (w != 0) {
           m.AddCounter("run.pooling_messages", outs[w]->size());
           m.AddCounter("run.pooling_bytes",
-                       outs[w]->size() * MessageWireBytes(arity));
+                       outs[w]->size() * pooling_frame_bytes(arity));
         }
       }
       // One presized bulk merge; first occurrences in worker order.
@@ -470,8 +437,6 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     }
   }
   m.SetGauge("run.wall_seconds", result.wall_seconds);
-  m.SetGauge("run.transport_spsc",
-             options.transport == TransportKind::kSpsc ? 1.0 : 0.0);
   ProjectScalarsFromMetrics(&result);
   return result;
 }

@@ -19,6 +19,9 @@ namespace pdatalog {
 
 class Tracer;  // obs/trace.h
 
+// Selects nothing (channels have one queue); kept for perfbench/common.cc.
+enum class TransportKind { kMutex };
+
 struct ParallelOptions {
   // true: one OS thread per processor with asynchronous receives and
   // Mattern termination detection (the paper's execution model).
@@ -42,17 +45,8 @@ struct ParallelOptions {
   // deliver in order exactly once. Makes the fixpoint exact under drop/
   // duplicate/reorder/corrupt/delay faults.
   bool retransmit = false;
-  // Data-movement backend for the channel fast path (core/transport.h).
-  // kMutex is the reference lock-append queue; kSpsc installs a bounded
-  // lock-free SPSC ring per (sender, receiver) pair. Fault injection
-  // and retransmit always run on the mutex-guarded slow path, so under
-  // --faults the two backends are behaviorally identical by
-  // construction; the ring pays off on the fault-free fast path.
+  // Selects nothing (channels have one queue); kept for perfbench/common.cc.
   TransportKind transport = TransportKind::kMutex;
-  // SPSC ring capacity in frames; 0 auto-scales with the processor
-  // count (P*P channels own two rings each, so capacity shrinks as the
-  // topology grows). Ignored by the mutex backend.
-  int transport_ring_frames = 0;
   // Flush threshold for the block-oriented wire protocol: each worker
   // accumulates outgoing tuples per (destination, predicate) and ships
   // one frame per block — at the end of the round, or mid-round once a
@@ -98,8 +92,9 @@ struct ParallelResult {
   uint64_t out_tuples_total = 0;
   uint64_t pooled_tuples = 0;
   // Final pooling (Section 3, step 5) "might require communication from
-  // all processors to a single processor": messages/bytes to ship every
-  // processor's t_out to collector 0 (its own tuples stay local).
+  // all processors to a single processor": tuples and modelled bytes
+  // (one per-tuple frame each) to ship every processor's t_out to
+  // collector 0 (its own tuples stay local). No channel moves them.
   uint64_t pooling_messages = 0;
   uint64_t pooling_bytes = 0;
   // Injected-fault totals summed over all channels (zero when fault

@@ -44,75 +44,6 @@ uint32_t Fnv1a(const uint8_t* data, size_t size) {
 
 }  // namespace
 
-Status EncodeMessage(const Message& message, std::vector<uint8_t>* out) {
-  if (message.tuple.arity() > kMaxWireArity) {
-    return Status::InvalidArgument(
-        "message arity " + std::to_string(message.tuple.arity()) +
-        " exceeds wire limit " + std::to_string(kMaxWireArity));
-  }
-  size_t start = out->size();
-  PutU32(message.predicate, out);
-  PutU16(static_cast<uint16_t>(message.tuple.arity()), out);
-  for (Value v : message.tuple) PutU32(v, out);
-  PutU32(Fnv1a(out->data() + start, out->size() - start), out);
-  return Status::Ok();
-}
-
-StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& data,
-                                size_t* offset) {
-  size_t start = *offset;
-  uint32_t predicate;
-  uint16_t arity;
-  if (!GetU32(data, offset, &predicate) || !GetU16(data, offset, &arity)) {
-    return Status::InvalidArgument("truncated message header");
-  }
-  if (arity > kMaxWireArity) {
-    return Status::InvalidArgument("message arity exceeds " +
-                                   std::to_string(kMaxWireArity));
-  }
-  Value values[kMaxWireArity];
-  for (int c = 0; c < arity; ++c) {
-    uint32_t v;
-    if (!GetU32(data, offset, &v)) {
-      return Status::InvalidArgument("truncated message body");
-    }
-    values[c] = v;
-  }
-  uint32_t stored;
-  if (!GetU32(data, offset, &stored)) {
-    return Status::InvalidArgument("truncated message checksum");
-  }
-  uint32_t computed =
-      Fnv1a(data.data() + start, *offset - start - kWireChecksumBytes);
-  if (stored != computed) {
-    return Status::InvalidArgument("message checksum mismatch");
-  }
-  Message message;
-  message.predicate = predicate;
-  message.tuple = Tuple(values, arity);
-  return message;
-}
-
-StatusOr<std::vector<uint8_t>> EncodeBatch(
-    const std::vector<Message>& messages) {
-  std::vector<uint8_t> out;
-  for (const Message& m : messages) {
-    PDATALOG_RETURN_IF_ERROR(EncodeMessage(m, &out));
-  }
-  return out;
-}
-
-StatusOr<std::vector<Message>> DecodeBatch(const std::vector<uint8_t>& data) {
-  std::vector<Message> messages;
-  size_t offset = 0;
-  while (offset < data.size()) {
-    StatusOr<Message> m = DecodeMessage(data, &offset);
-    if (!m.ok()) return m.status();
-    messages.push_back(std::move(*m));
-  }
-  return messages;
-}
-
 Status EncodeBlock(const TupleBlock& block, std::vector<uint8_t>* out) {
   if (block.arity < 0 || block.arity > kMaxWireArity) {
     return Status::InvalidArgument(
@@ -223,7 +154,7 @@ Status DecodeBlockInto(const std::vector<uint8_t>& data, size_t* offset,
 }
 
 bool FrameChecksumOk(const uint8_t* data, size_t size) {
-  if (size < kWireHeaderBytes + kWireChecksumBytes) return false;
+  if (size < kBlockHeaderBytes + kWireChecksumBytes) return false;
   size_t body = size - kWireChecksumBytes;
   uint32_t stored = static_cast<uint32_t>(data[body]) |
                     static_cast<uint32_t>(data[body + 1]) << 8 |

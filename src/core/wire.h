@@ -1,22 +1,20 @@
-// Message serialization: the paper's abstract architecture may be
+// Block serialization: the paper's abstract architecture may be
 // realized "by either shared memory or message passing" (Section 3).
-// The default channels move Message objects through shared memory; in
-// serialized mode every message is encoded to bytes on send and decoded
-// on receive, proving nothing in the engine depends on shared address
-// space (beyond the read-only symbol table, which a real deployment
-// would replicate).
+// The default channels move TupleBlock objects through shared memory;
+// in serialized mode every block is encoded to one byte frame on send
+// and decoded on receive, proving nothing in the engine depends on
+// shared address space (beyond the read-only symbol table, which a real
+// deployment would replicate).
 //
-// Wire formats (little-endian), sizes defined once in core/channel.h:
-//   legacy: u32 predicate id | u16 arity | arity * u32 values | u32 checksum
-//   block:  u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |
-//           columnar values (count * u32 for column 0, then column 1, ...)
-//           | u32 checksum
+// Block frame (little-endian), sizes defined once in core/channel.h:
+//   u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |
+//   columnar values (count * u32 for column 0, then column 1, ...)
+//   | u32 checksum
 //
-// The block frame amortizes the header, checksum, and count bookkeeping
-// over a whole run of same-predicate tuples, and its columnar value
-// layout keeps each column's bytes contiguous on the wire. The flagged
-// arity word keeps the two formats mutually unintelligible: a legacy
-// decoder sees an impossible arity in a block frame and vice versa.
+// The frame amortizes the header, checksum, and count bookkeeping over
+// a whole run of same-predicate tuples, and its columnar value layout
+// keeps each column's bytes contiguous on the wire. The decoder rejects
+// a frame whose arity word lacks kBlockArityFlag.
 //
 // The trailing checksum is FNV-1a over the frame's preceding bytes, so
 // a corrupted frame is *detected* at decode time and surfaces as a
@@ -33,22 +31,6 @@
 
 namespace pdatalog {
 
-// Appends the encoding of `message` to `out`. Fails (appending nothing)
-// when the tuple's arity exceeds kMaxWireArity.
-Status EncodeMessage(const Message& message, std::vector<uint8_t>* out);
-
-// Decodes one message starting at `data[*offset]`, advancing *offset.
-// Fails on truncated input, oversized arity, or checksum mismatch.
-StatusOr<Message> DecodeMessage(const std::vector<uint8_t>& data,
-                                size_t* offset);
-
-// Encodes a whole batch (concatenated messages).
-StatusOr<std::vector<uint8_t>> EncodeBatch(
-    const std::vector<Message>& messages);
-
-// Decodes a concatenated batch.
-StatusOr<std::vector<Message>> DecodeBatch(const std::vector<uint8_t>& data);
-
 // Appends the block-frame encoding of `block` to `out` (columnar value
 // layout). Fails (appending nothing) on oversized arity, an empty or
 // oversized tuple count, or a value buffer that does not match
@@ -56,17 +38,18 @@ StatusOr<std::vector<Message>> DecodeBatch(const std::vector<uint8_t>& data);
 Status EncodeBlock(const TupleBlock& block, std::vector<uint8_t>* out);
 
 // Decodes one block frame starting at `data[*offset]` into `block`
-// (reusing its buffer; the row-major transpose of the wire's columnar
-// values), advancing *offset. Fails on truncated input, a legacy
-// (non-block) frame, oversized arity or count, or checksum mismatch —
+// (reusing its buffer and keeping the wire's columnar layout),
+// advancing *offset. Fails on truncated input, a frame without the
+// block marker, oversized arity or count, or checksum mismatch —
 // `block` is left unspecified on failure and *offset is not advanced
 // past the bad frame.
 Status DecodeBlockInto(const std::vector<uint8_t>& data, size_t* offset,
                        TupleBlock* block);
 
-// True iff the frame ends in a u32 equal to the FNV-1a hash of the
-// preceding bytes. Used by reliable channels to discard corrupted
-// frames without fully decoding them.
+// True iff the frame is at least a block header plus checksum long and
+// ends in a u32 equal to the FNV-1a hash of the preceding bytes. Used by
+// reliable channels to discard corrupted frames without fully decoding
+// them.
 bool FrameChecksumOk(const uint8_t* data, size_t size);
 
 }  // namespace pdatalog

@@ -444,12 +444,12 @@ void Worker::SendNewRows(Symbol pred, const Relation& out, size_t begin,
   // predicate t_ij is a set, so a tuple travels each channel at most
   // once no matter how many sending rules select it), then append each
   // row to its destinations' accumulation blocks.
-  constexpr size_t kSendBatch = 256;
-  send_rows_.resize(kSendBatch * static_cast<size_t>(arity > 0 ? arity : 1));
+  constexpr size_t kRouteBatch = 256;
+  send_rows_.resize(kRouteBatch * static_cast<size_t>(arity > 0 ? arity : 1));
   const ColumnStore& store = out.store();
-  for (size_t base = begin; base < end; base += kSendBatch) {
+  for (size_t base = begin; base < end; base += kRouteBatch) {
     const uint32_t n =
-        static_cast<uint32_t>(std::min(kSendBatch, end - base));
+        static_cast<uint32_t>(std::min(kRouteBatch, end - base));
     for (uint32_t r = 0; r < n; ++r) {
       store.CopyRow(base + r,
                     send_rows_.data() + static_cast<size_t>(r) * arity);
@@ -527,51 +527,32 @@ size_t Worker::RetransmitUnacked() {
   return resent;
 }
 
-void Worker::DrainForStall() {
-  if (in_stall_drain_) return;  // a drain can never block, but be safe
-  in_stall_drain_ = true;
-  StatusOr<size_t> got = DrainChannels();
-  if (!got.ok() && send_status_.ok()) send_status_ = got.status();
-  in_stall_drain_ = false;
-}
-
 namespace {
 
-// Bounded backoff ladder for the idle poll loop, parameterized by the
-// transport's IdleWaitPolicy: an optional busy-spin phase (SPSC rings —
-// the producer publishes with one store, so data usually lands within
-// a few hundred cycles), then yields (cheap wakeup while traffic is
-// still flowing), then sleeps doubling from 1us up to the cap so an
-// idle worker stops burning its core while termination latency stays
-// well under a millisecond.
+// Bounded backoff ladder for the idle poll loop: yields first (cheap
+// wakeup while traffic is still flowing), then sleeps doubling from 1us
+// up to the cap so an idle worker stops burning its core while
+// termination latency stays well under a millisecond.
 class IdleBackoff {
  public:
-  explicit IdleBackoff(const IdleWaitPolicy& policy) : policy_(policy) {}
-
   void Pause() {
-    if (spins_ < policy_.spin_polls) {
-      ++spins_;
-      CpuRelax();
-      return;
-    }
-    if (yields_ < policy_.yield_polls) {
+    if (yields_ < kYieldPolls) {
       ++yields_;
       std::this_thread::yield();
       return;
     }
     std::this_thread::sleep_for(std::chrono::microseconds(sleep_us_));
-    sleep_us_ = std::min<int64_t>(sleep_us_ * 2, policy_.max_sleep_us);
+    sleep_us_ = std::min<int64_t>(sleep_us_ * 2, kMaxSleepUs);
   }
 
   void Reset() {
-    spins_ = 0;
     yields_ = 0;
     sleep_us_ = 1;
   }
 
  private:
-  IdleWaitPolicy policy_;
-  int spins_ = 0;
+  static constexpr int kYieldPolls = 16;
+  static constexpr int64_t kMaxSleepUs = 256;
   int yields_ = 0;
   int64_t sleep_us_ = 1;
 };
@@ -586,7 +567,7 @@ Status Worker::RunLoop() {
     detector_->Abort(init);
     return init;
   }
-  IdleBackoff backoff(wait_policy_);
+  IdleBackoff backoff;
   uint64_t idle_polls = 0;
   while (true) {
     // A peer may have aborted (or detection may have completed) while

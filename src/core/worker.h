@@ -11,7 +11,6 @@
 
 #include "core/channel.h"
 #include "core/partition.h"
-#include "core/transport.h"
 #include "core/rebalance.h"
 #include "core/rewrite.h"
 #include "core/routing.h"
@@ -96,26 +95,8 @@ class Worker {
   // mode only; see Channel::RetransmitUnacked). Returns frames resent.
   size_t RetransmitUnacked();
 
-  // Transport stall hook: drains this worker's inbound channels while
-  // one of its *outbound* sends is blocked on a full ring (bounded SPSC
-  // backpressure). Without it, a cycle of full rings — every producer
-  // mid-round, nobody draining — would deadlock; draining our own
-  // inbound side always frees our peers. Safe to call mid-round: drains
-  // never send, use scratch buffers disjoint from the send path, and
-  // tuples ingested past the frozen delta window simply become the next
-  // round's delta. Errors latch into the same status Step() surfaces.
-  void DrainForStall();
-
-  // Idle-loop wait ladder (spin, then yield, then bounded sleep),
-  // normally derived from the transport via MakeIdleWaitPolicy. Set
-  // before Init(). The default is the mutex backend's yield-then-sleep
-  // ladder with no spin phase.
-  void set_wait_policy(const IdleWaitPolicy& policy) {
-    wait_policy_ = policy;
-  }
-
-  // Serialized (message-passing) mode: encode every outgoing tuple to
-  // bytes and decode on receipt instead of passing Message objects
+  // Serialized (message-passing) mode: encode every outgoing block to
+  // bytes and decode on receipt instead of passing TupleBlock objects
   // through shared memory. Set before Init().
   void set_serialize_messages(bool on) { serialize_messages_ = on; }
 
@@ -163,7 +144,7 @@ class Worker {
   Status Setup();
 
   // Appends all pending channel blocks into the t_in relations (bulk
-  // ingest via Relation::InsertBlock; no per-tuple Message objects).
+  // ingest via Relation::InsertBlock; no per-tuple objects).
   // Returns the number of tuples drained, or an error when an incoming
   // frame fails to decode or names an unknown predicate.
   StatusOr<size_t> DrainChannels();
@@ -237,8 +218,6 @@ class Worker {
   uint64_t pending_received_ = 0;    // drained since the last round started
   bool serialize_messages_ = false;
   bool retransmit_ = false;
-  IdleWaitPolicy wait_policy_;
-  bool in_stall_drain_ = false;  // re-entrancy guard for DrainForStall
   int block_tuples_ = 256;  // flush threshold (see set_block_tuples)
   // First send-side failure (encode error); SendTuple runs deep inside
   // the join callbacks, so the error is latched here and surfaced by the

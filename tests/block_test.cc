@@ -5,6 +5,7 @@
 // --block-tuples=1 (per-tuple frames) and large blocks must produce
 // identical results on every scheme and channel realization.
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -57,21 +58,31 @@ void ExpectSameTuples(const TupleBlock& got, const TupleBlock& want) {
 // ---------------------------------------------------------------------
 
 TEST(BlockWireTest, RoundTripAcrossAritiesAndCounts) {
-  for (int arity : {0, 1, 2, 3, 5, kMaxWireArity}) {
+  // Every encodable arity, and values (predicate included) both small
+  // and at the top of the u32 range: WireBytes() must equal the encoded
+  // size, and the decode must reproduce every cell.
+  for (int arity = 0; arity <= kMaxWireArity; ++arity) {
     for (uint32_t count : {1u, 2u, 7u, 300u}) {
-      TupleBlock block = MakeBlock(42, arity, count);
-      std::vector<uint8_t> bytes;
-      ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-      EXPECT_EQ(bytes.size(), block.WireBytes());
-      size_t offset = 0;
-      TupleBlock decoded;
-      Status status = DecodeBlockInto(bytes, &offset, &decoded);
-      ASSERT_TRUE(status.ok())
-          << status.ToString() << " arity=" << arity << " count=" << count;
-      EXPECT_EQ(offset, bytes.size());
-      EXPECT_EQ(decoded.predicate, block.predicate);
-      EXPECT_TRUE(decoded.columnar) << "decode must keep the wire layout";
-      ExpectSameTuples(decoded, block);
+      for (bool high : {false, true}) {
+        TupleBlock block = MakeBlock(42, arity, count);
+        if (high) {
+          block.predicate = UINT32_MAX;
+          for (Value& v : block.values) v = UINT32_MAX - v;
+        }
+        std::vector<uint8_t> bytes;
+        ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
+        EXPECT_EQ(bytes.size(), block.WireBytes()) << "arity=" << arity;
+        EXPECT_EQ(bytes.size(), BlockWireBytes(arity, count));
+        size_t offset = 0;
+        TupleBlock decoded;
+        Status status = DecodeBlockInto(bytes, &offset, &decoded);
+        ASSERT_TRUE(status.ok()) << status.ToString() << " arity=" << arity
+                                 << " count=" << count << " high=" << high;
+        EXPECT_EQ(offset, bytes.size());
+        EXPECT_EQ(decoded.predicate, block.predicate);
+        EXPECT_TRUE(decoded.columnar) << "decode must keep the wire layout";
+        ExpectSameTuples(decoded, block);
+      }
     }
   }
 }
@@ -141,6 +152,14 @@ TEST(BlockWireTest, FramesConcatenate) {
   ASSERT_TRUE(DecodeBlockInto(bytes, &offset, &decoded).ok());
   ExpectSameTuples(decoded, b);
   EXPECT_EQ(offset, bytes.size());
+
+  // A corrupt second frame fails on its own; the first still decodes.
+  std::vector<uint8_t> corrupt = bytes;
+  corrupt[a.WireBytes() + kBlockHeaderBytes] ^= 0x10;
+  offset = 0;
+  ASSERT_TRUE(DecodeBlockInto(corrupt, &offset, &decoded).ok());
+  EXPECT_FALSE(DecodeBlockInto(corrupt, &offset, &decoded).ok());
+  EXPECT_EQ(offset, a.WireBytes());
 }
 
 TEST(BlockWireTest, TruncationRejectedAtEveryCut) {
@@ -151,8 +170,12 @@ TEST(BlockWireTest, TruncationRejectedAtEveryCut) {
     std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
     size_t offset = 0;
     TupleBlock decoded;
-    EXPECT_FALSE(DecodeBlockInto(truncated, &offset, &decoded).ok())
-        << "cut=" << cut;
+    Status status = DecodeBlockInto(truncated, &offset, &decoded);
+    EXPECT_FALSE(status.ok()) << "cut=" << cut;
+    EXPECT_NE(status.message().find(cut < kBlockHeaderBytes ? "header"
+                                                            : "body"),
+              std::string::npos)
+        << "cut=" << cut << ": " << status.message();
     EXPECT_EQ(offset, 0u) << "offset must not advance past a bad frame";
   }
 }
@@ -170,25 +193,25 @@ TEST(BlockWireTest, EveryBitFlipDetected) {
       EXPECT_FALSE(DecodeBlockInto(corrupted, &offset, &decoded).ok())
           << "byte=" << byte << " bit=" << bit;
       EXPECT_EQ(offset, 0u);
+      EXPECT_FALSE(FrameChecksumOk(corrupted.data(), corrupted.size()))
+          << "byte=" << byte << " bit=" << bit;
     }
   }
+  EXPECT_TRUE(FrameChecksumOk(bytes.data(), bytes.size()));
 }
 
 TEST(BlockWireTest, FormatsAreMutuallyUnintelligible) {
-  // A legacy frame has no block marker; a block frame's flagged arity
-  // exceeds the legacy limit. Neither decoder misreads the other.
-  std::vector<uint8_t> legacy;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &legacy).ok());
+  // A frame whose arity word lacks kBlockArityFlag — here the retired
+  // per-tuple layout, u32 predicate 5 | u16 arity 2 | values 1, 2 |
+  // checksum — must be rejected, never misread as a block.
+  const std::vector<uint8_t> unflagged = {5, 0, 0, 0, 2, 0, 1, 0, 0,
+                                          0, 2, 0, 0, 0, 0, 0, 0, 0};
   size_t offset = 0;
   TupleBlock decoded;
-  Status status = DecodeBlockInto(legacy, &offset, &decoded);
+  Status status = DecodeBlockInto(unflagged, &offset, &decoded);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("not a tuple block"), std::string::npos);
-
-  std::vector<uint8_t> framed;
-  ASSERT_TRUE(EncodeBlock(MakeBlock(5, 2, 3), &framed).ok());
-  offset = 0;
-  EXPECT_FALSE(DecodeMessage(framed, &offset).ok());
+  EXPECT_EQ(offset, 0u);
 }
 
 TEST(BlockWireTest, EncodeRejectsMalformedBlocks) {
@@ -209,16 +232,23 @@ TEST(BlockWireTest, EncodeRejectsMalformedBlocks) {
 }
 
 TEST(BlockWireTest, OversizedCountFieldRejected) {
-  // A corrupted count that dodged nothing else must be capped before
-  // the decoder sizes any buffer from it.
+  // A corrupted count or arity must be capped before the decoder sizes
+  // any buffer from it.
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(EncodeBlock(MakeBlock(1, 1, 1), &bytes).ok());
-  for (int i = 0; i < 4; ++i) bytes[6 + i] = 0xff;  // count = 2^32 - 1
+  std::vector<uint8_t> wide_count = bytes;
+  for (int i = 0; i < 4; ++i) wide_count[6 + i] = 0xff;  // 2^32 - 1
   size_t offset = 0;
   TupleBlock decoded;
-  Status status = DecodeBlockInto(bytes, &offset, &decoded);
+  Status status = DecodeBlockInto(wide_count, &offset, &decoded);
   EXPECT_FALSE(status.ok());
   EXPECT_NE(status.message().find("count exceeds"), std::string::npos);
+
+  std::vector<uint8_t> wide_arity = bytes;
+  wide_arity[4] = 0xff;  // flagged arity 0x80ff
+  status = DecodeBlockInto(wide_arity, &offset, &decoded);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("arity exceeds"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -1,25 +1,22 @@
 // Concurrency stress for the channel substrate: many senders racing one
-// drainer must lose no messages, and the monotone total_sent /
-// total_bytes counters must come out exact — the termination detector
-// (Mattern counting) relies on exactly this agreement. The first tests
-// run on the default mutex transport (the only backend that tolerates
-// multiple senders); the Spsc* tests install the lock-free ring and
-// stress its single-producer/single-consumer contract: wraparound far
-// past capacity, full-ring backpressure that blocks without dropping,
-// and frame integrity under TSan (a torn frame would surface as a data
-// race on the slot, because publication is a single release store).
-#include <atomic>
-#include <chrono>
+// drainer must lose no frames, and the monotone total_sent /
+// total_frames / total_bytes counters must come out exact — the
+// termination detector (Mattern counting) relies on exactly this
+// agreement. Every test moves TupleBlocks (or their encoded frames), the
+// channel's only unit of transfer.
 #include <cstdint>
 #include <thread>
 #include <vector>
 
 #include "core/channel.h"
-#include "core/transport.h"
+#include "core/wire.h"
 #include "gtest/gtest.h"
+#include "parallel_test_util.h"
 
 namespace pdatalog {
 namespace {
+
+using testing_util::RowBlock;
 
 // A recognizable block: `arity` columns, `count` rows, every cell
 // derived from (seq, row, col) so a torn or reordered frame cannot
@@ -53,6 +50,7 @@ void CheckPatternBlock(const TupleBlock& block, uint32_t seq, int arity,
 TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
   constexpr int kSenders = 8;
   constexpr int kPerSender = 5000;
+  constexpr uint64_t kFrames = static_cast<uint64_t>(kSenders) * kPerSender;
   Channel channel;
 
   std::vector<std::thread> senders;
@@ -60,86 +58,82 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        Message m;
-        m.predicate = static_cast<Symbol>(s);
-        m.tuple = Tuple{static_cast<Value>(s), static_cast<Value>(i)};
-        channel.Send(std::move(m));
+        channel.SendBlock(RowBlock(static_cast<Symbol>(s),
+                                   {static_cast<Value>(s),
+                                    static_cast<Value>(i)}));
       }
     });
   }
 
   // Drain concurrently with the senders, like a worker's round loop.
-  std::vector<Message> received;
-  while (received.size() < static_cast<size_t>(kSenders) * kPerSender) {
-    channel.Drain(&received);
-  }
+  std::vector<TupleBlock> received;
+  uint64_t tuples = 0;
+  while (tuples < kFrames) tuples += channel.DrainBlocks(&received);
   for (std::thread& t : senders) t.join();
-  channel.Drain(&received);  // nothing should be left
-  ASSERT_EQ(received.size(), static_cast<size_t>(kSenders) * kPerSender);
+  EXPECT_EQ(channel.DrainBlocks(&received), 0u);  // nothing left
+  ASSERT_EQ(received.size(), kFrames);
 
   // Every (sender, sequence) pair arrives exactly once, in per-sender
   // FIFO order (each channel is a reliable ordered link).
   std::vector<std::vector<bool>> seen(kSenders,
                                       std::vector<bool>(kPerSender, false));
   std::vector<int> last(kSenders, -1);
-  uint64_t wire_bytes = 0;
-  for (const Message& m : received) {
-    int s = static_cast<int>(m.predicate);
-    int i = static_cast<int>(m.tuple[1]);
+  for (const TupleBlock& b : received) {
+    ASSERT_EQ(b.count, 1u);
+    int s = static_cast<int>(b.predicate);
+    int i = static_cast<int>(b.value(0, 1));
     EXPECT_FALSE(seen[s][i]) << "duplicate (" << s << ", " << i << ")";
     seen[s][i] = true;
     EXPECT_GT(i, last[s]) << "reordered within sender " << s;
     last[s] = i;
-    wire_bytes += m.WireBytes();
   }
-  EXPECT_EQ(channel.total_sent(),
-            static_cast<uint64_t>(kSenders) * kPerSender);
-  EXPECT_EQ(channel.total_bytes(), wire_bytes);
+  EXPECT_EQ(channel.total_sent(), kFrames);
+  EXPECT_EQ(channel.total_frames(), kFrames);
+  EXPECT_EQ(channel.total_bytes(), kFrames * BlockWireBytes(2, 1));
   EXPECT_FALSE(channel.HasPending());
 }
 
 TEST(ChannelStressTest, BatchedSendersCountExactly) {
+  // Each send is one kBatchSize-tuple block: tuples and frames are
+  // counted separately, and bytes follow the block frame layout.
   constexpr int kSenders = 6;
   constexpr int kBatches = 200;
-  constexpr int kBatchSize = 25;
+  constexpr uint32_t kBatchSize = 25;
+  constexpr uint64_t kFrames = static_cast<uint64_t>(kSenders) * kBatches;
   Channel channel;
 
   std::vector<std::thread> senders;
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
-      std::vector<Message> batch;
       for (int b = 0; b < kBatches; ++b) {
-        for (int i = 0; i < kBatchSize; ++i) {
-          Message m;
-          m.predicate = static_cast<Symbol>(s);
-          m.tuple = Tuple{static_cast<Value>(b), static_cast<Value>(i)};
-          batch.push_back(std::move(m));
-        }
-        channel.SendBatch(&batch);
-        EXPECT_TRUE(batch.empty());  // flushed, capacity retained
+        channel.SendBlock(PatternBlock(s * kBatches + b, 2, kBatchSize));
       }
     });
   }
 
-  std::vector<Message> received;
-  const size_t expect =
-      static_cast<size_t>(kSenders) * kBatches * kBatchSize;
-  while (received.size() < expect) channel.Drain(&received);
+  std::vector<TupleBlock> received;
+  uint64_t tuples = 0;
+  while (tuples < kFrames * kBatchSize) {
+    tuples += channel.DrainBlocks(&received);
+  }
   for (std::thread& t : senders) t.join();
-  channel.Drain(&received);
-  ASSERT_EQ(received.size(), expect);
+  EXPECT_EQ(channel.DrainBlocks(&received), 0u);
+  ASSERT_EQ(received.size(), kFrames);
+  for (const TupleBlock& b : received) {
+    // Recover the block's sequence from its first cell.
+    CheckPatternBlock(b, b.value(0, 0) / 31, 2, kBatchSize);
+  }
 
-  uint64_t wire_bytes = 0;
-  for (const Message& m : received) wire_bytes += m.WireBytes();
-  EXPECT_EQ(channel.total_sent(), expect);
-  EXPECT_EQ(channel.total_bytes(), wire_bytes);
+  EXPECT_EQ(channel.total_sent(), kFrames * kBatchSize);
+  EXPECT_EQ(channel.total_frames(), kFrames);
+  EXPECT_EQ(channel.total_bytes(), kFrames * BlockWireBytes(2, kBatchSize));
 }
 
 TEST(ChannelStressTest, ReliableChannelRecoversUnderConcurrentFaults) {
   // One sender races one drainer over a lossy reliable channel. The
   // sender interleaves retransmits of unacknowledged frames; the
-  // receiver must still see every message exactly once and in order.
-  constexpr int kMessages = 4000;
+  // receiver must still see every block exactly once and in order.
+  constexpr int kBlocks = 4000;
   Channel channel;
   FaultSpec spec;
   spec.drop = 0.2;
@@ -151,28 +145,33 @@ TEST(ChannelStressTest, ReliableChannelRecoversUnderConcurrentFaults) {
   channel.EnableRetransmit();
 
   std::thread sender([&channel] {
-    for (int i = 0; i < kMessages; ++i) {
-      channel.Send(Message{1, Tuple{static_cast<Value>(i), 0}});
+    for (int i = 0; i < kBlocks; ++i) {
+      channel.SendBlock(RowBlock(1, {static_cast<Value>(i), 0}));
       if ((i & 63) == 0) channel.RetransmitUnacked();
     }
   });
 
-  std::vector<Message> received;
-  while (received.size() < kMessages) {
-    if (channel.Drain(&received) == 0) channel.RetransmitUnacked();
+  std::vector<TupleBlock> received;
+  while (received.size() < kBlocks) {
+    if (channel.DrainBlocks(&received) == 0) channel.RetransmitUnacked();
   }
   sender.join();
-  channel.Drain(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kMessages));
-  for (int i = 0; i < kMessages; ++i) {
-    EXPECT_EQ(received[i].tuple[0], static_cast<Value>(i)) << "at " << i;
+  channel.DrainBlocks(&received);
+  ASSERT_EQ(received.size(), static_cast<size_t>(kBlocks));
+  for (int i = 0; i < kBlocks; ++i) {
+    EXPECT_EQ(received[i].value(0, 0), static_cast<Value>(i)) << "at " << i;
   }
-  EXPECT_EQ(channel.total_sent(), static_cast<uint64_t>(kMessages));
+  // Retransmissions and injected copies are not logical sends.
+  EXPECT_EQ(channel.total_sent(), static_cast<uint64_t>(kBlocks));
+  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kBlocks));
+  EXPECT_EQ(channel.total_bytes(), kBlocks * BlockWireBytes(2, 1));
   EXPECT_TRUE(channel.fault_counters().any());
   EXPECT_EQ(channel.RetransmitUnacked(), 0u);  // everything acknowledged
 }
 
 TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
+  // Many senders race encoded block frames; each decodes intact, in
+  // per-sender order, and the counters match the encoded sizes.
   constexpr int kSenders = 4;
   constexpr int kPerSender = 2000;
   Channel channel;
@@ -181,9 +180,12 @@ TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        // Encoding is irrelevant here; each byte vector is one message.
-        std::vector<uint8_t> bytes(6 + 8, static_cast<uint8_t>(s));
-        channel.SendBytes(std::move(bytes));
+        uint32_t count = 1 + i % 4;
+        std::vector<uint8_t> bytes;
+        ASSERT_TRUE(
+            EncodeBlock(PatternBlock(s * kPerSender + i, 3, count), &bytes)
+                .ok());
+        channel.SendBytes(std::move(bytes), count);
       }
     });
   }
@@ -195,101 +197,35 @@ TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
   channel.DrainBytes(&received);
   ASSERT_EQ(received.size(), expect);
 
+  uint64_t tuples = 0;
   uint64_t bytes = 0;
-  for (const auto& b : received) bytes += b.size();
-  EXPECT_EQ(channel.total_sent(), expect);
+  std::vector<int> last(kSenders, -1);
+  TupleBlock decoded;
+  for (const auto& frame : received) {
+    size_t offset = 0;
+    ASSERT_TRUE(DecodeBlockInto(frame, &offset, &decoded).ok());
+    uint32_t seq = decoded.value(0, 0) / 31;
+    int s = static_cast<int>(seq / kPerSender);
+    int i = static_cast<int>(seq % kPerSender);
+    CheckPatternBlock(decoded, seq, 3, 1 + i % 4);
+    EXPECT_GT(i, last[s]) << "reordered within sender " << s;
+    last[s] = i;
+    tuples += decoded.count;
+    bytes += BlockWireBytes(3, decoded.count);
+  }
+  EXPECT_EQ(channel.total_sent(), tuples);
+  EXPECT_EQ(channel.total_frames(), expect);
   EXPECT_EQ(channel.total_bytes(), bytes);
   EXPECT_FALSE(channel.HasPending());
 }
 
-TEST(ChannelStressTest, SpscRingWrapsAroundAtCapacity) {
-  // A tiny ring forces the indices to wrap hundreds of times; per-frame
-  // FIFO order and content must survive every wrap.
-  constexpr int kFrames = 5000;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 8;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::thread producer([&channel] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(
-          PatternBlock(seq, /*arity=*/3, /*count=*/(seq % 5) + 1));
-    }
-  });
-
-  std::vector<TupleBlock> received;
-  while (received.size() < kFrames) channel.DrainBlocks(&received);
-  producer.join();
-  channel.DrainBlocks(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-
-  uint64_t tuples = 0;
-  uint64_t wire_bytes = 0;
-  for (int seq = 0; seq < kFrames; ++seq) {
-    CheckPatternBlock(received[seq], seq, 3, (seq % 5) + 1);
-    tuples += received[seq].count;
-    wire_bytes += received[seq].WireBytes();
-  }
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
-  EXPECT_EQ(channel.total_sent(), tuples);
-  EXPECT_EQ(channel.total_bytes(), wire_bytes);
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscFullRingBackpressureBlocksWithoutDropping) {
-  // With no consumer, the producer must fill the ring and then *block*
-  // — progress plateaus exactly at capacity, nothing is dropped — and
-  // resume the moment draining starts.
-  constexpr int kCapacity = 16;
-  constexpr int kFrames = 64;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = kCapacity;
-  opts.max_sleep_us = 64;  // keep the blocked producer responsive
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::atomic<int> sent{0};
-  std::thread producer([&channel, &sent] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(PatternBlock(seq, /*arity=*/2, /*count=*/1));
-      sent.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  // The producer completes exactly kCapacity sends, then blocks inside
-  // send kCapacity+1. Give it real time to (wrongly) run ahead.
-  while (sent.load(std::memory_order_relaxed) < kCapacity) {
-    std::this_thread::yield();
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_EQ(sent.load(std::memory_order_relaxed), kCapacity)
-      << "producer ran past a full ring";
-
-  // Release the backpressure; every frame must come out, in order.
-  std::vector<TupleBlock> received;
-  while (received.size() < kFrames) channel.DrainBlocks(&received);
-  producer.join();
-  channel.DrainBlocks(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-  for (int seq = 0; seq < kFrames; ++seq) {
-    CheckPatternBlock(received[seq], seq, 2, 1);
-  }
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscFramesAreNeverTorn) {
-  // Torn-frame check, designed for TSan: the consumer validates every
-  // cell of every frame while the producer races around a 4-slot ring.
-  // Publication is a single release store of the tail index, so a
-  // consumer reading a half-written slot would be a data race TSan
-  // reports; without TSan this still catches value-level tearing.
+TEST(ChannelStressTest, SingleSenderFramesArriveWholeAndInOrder) {
+  // The engine's topology: one sender, one drainer. The drainer checks
+  // every cell of every block while the sender races it, so a frame
+  // published before it was fully written would fail here (and is a
+  // data race under TSan).
   constexpr int kFrames = 3000;
   Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 4;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
 
   std::thread producer([&channel] {
     for (int seq = 0; seq < kFrames; ++seq) {
@@ -299,6 +235,7 @@ TEST(ChannelStressTest, SpscFramesAreNeverTorn) {
   });
 
   size_t validated = 0;
+  uint64_t bytes = 0;
   std::vector<TupleBlock> scratch;
   while (validated < kFrames) {
     scratch.clear();
@@ -306,46 +243,12 @@ TEST(ChannelStressTest, SpscFramesAreNeverTorn) {
     for (const TupleBlock& block : scratch) {
       const uint32_t seq = static_cast<uint32_t>(validated);
       CheckPatternBlock(block, seq, 4, (seq % 8) + 1);
+      bytes += BlockWireBytes(4, block.count);
       ++validated;
     }
   }
   producer.join();
   EXPECT_EQ(validated, static_cast<size_t>(kFrames));
-  EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
-  EXPECT_FALSE(channel.HasPending());
-}
-
-TEST(ChannelStressTest, SpscSerializedBytesPathKeepsOrder) {
-  // The byte-frame ring (serialized channels) has the same contract as
-  // the block ring: FIFO, lossless, exact frame accounting.
-  constexpr int kFrames = 4000;
-  Channel channel;
-  TransportOptions opts;
-  opts.ring_frames = 8;
-  channel.set_transport(MakeTransport(TransportKind::kSpsc, opts));
-
-  std::thread producer([&channel] {
-    for (int seq = 0; seq < kFrames; ++seq) {
-      std::vector<uint8_t> bytes(6 + (seq % 32),
-                                 static_cast<uint8_t>(seq & 0xFF));
-      channel.SendBytes(std::move(bytes));
-    }
-  });
-
-  std::vector<std::vector<uint8_t>> received;
-  while (received.size() < kFrames) channel.DrainBytes(&received);
-  producer.join();
-  channel.DrainBytes(&received);
-  ASSERT_EQ(received.size(), static_cast<size_t>(kFrames));
-
-  uint64_t bytes = 0;
-  for (int seq = 0; seq < kFrames; ++seq) {
-    ASSERT_EQ(received[seq].size(), static_cast<size_t>(6 + (seq % 32)));
-    for (uint8_t b : received[seq]) {
-      ASSERT_EQ(b, static_cast<uint8_t>(seq & 0xFF)) << "torn at " << seq;
-    }
-    bytes += received[seq].size();
-  }
   EXPECT_EQ(channel.total_frames(), static_cast<uint64_t>(kFrames));
   EXPECT_EQ(channel.total_bytes(), bytes);
   EXPECT_FALSE(channel.HasPending());

@@ -183,8 +183,9 @@ TEST(EngineExtraTest, PoolingCostAccounted) {
   uint64_t remote_out =
       result->out_tuples_total - result->workers[0].out_inserted;
   EXPECT_EQ(result->pooling_messages, remote_out);
-  EXPECT_EQ(result->pooling_bytes,
-            remote_out * MessageWireBytes(2));  // arity-2 tuples
+  // Modelled as one 18-byte frame per arity-2 tuple: 6-byte header,
+  // two u32 values, u32 checksum.
+  EXPECT_EQ(result->pooling_bytes, remote_out * 18);
 }
 
 TEST(EngineExtraTest, SingleProcessorPoolingIsFree) {

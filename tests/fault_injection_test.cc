@@ -25,6 +25,7 @@ using testing_util::DumpOutput;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
 using testing_util::ParseOrDie;
+using testing_util::RowBlock;
 using testing_util::SequentialAncestor;
 using testing_util::ValidateOrDie;
 
@@ -74,13 +75,15 @@ TEST(FaultChannelTest, DropLosesEveryMessage) {
   FaultSpec spec;
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  for (Value i = 0; i < 5; ++i) channel.Send(Message{1, Tuple{i, i}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);
+  for (Value i = 0; i < 5; ++i) channel.SendBlock(RowBlock(1, {i, i}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
   EXPECT_FALSE(channel.HasPending());
   // Logical sends still count (the termination detector must see the
   // imbalance a loss creates).
   EXPECT_EQ(channel.total_sent(), 5u);
+  EXPECT_EQ(channel.total_frames(), 5u);
+  EXPECT_EQ(channel.total_bytes(), 5 * BlockWireBytes(2, 1));
   EXPECT_EQ(channel.fault_counters().dropped, 5u);
 }
 
@@ -89,9 +92,10 @@ TEST(FaultChannelTest, DuplicateDeliversTwiceWithoutRetransmit) {
   FaultSpec spec;
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{7, 8}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 2u);
+  channel.SendBlock(RowBlock(1, {7, 8}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 2u);
+  EXPECT_EQ(channel.total_sent(), 1u);  // the copy is not a send
   EXPECT_EQ(channel.fault_counters().duplicated, 1u);
 }
 
@@ -101,10 +105,10 @@ TEST(FaultChannelTest, ReliableChannelDiscardsDuplicates) {
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{7, 8}});
-  channel.Send(Message{1, Tuple{9, 10}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 2u);  // one logical delivery each
+  channel.SendBlock(RowBlock(1, {7, 8}));
+  channel.SendBlock(RowBlock(1, {9, 10}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 2u);  // one logical delivery each
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(channel.fault_counters().duplicates_discarded, 2u);
 }
@@ -114,15 +118,15 @@ TEST(FaultChannelTest, ReorderFlipsDeliveryOrder) {
   FaultSpec spec;
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{1, 0}});
-  channel.Send(Message{1, Tuple{2, 0}});
-  channel.Send(Message{1, Tuple{3, 0}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 3u);
+  channel.SendBlock(RowBlock(1, {1, 0}));
+  channel.SendBlock(RowBlock(1, {2, 0}));
+  channel.SendBlock(RowBlock(1, {3, 0}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 3u);
   ASSERT_EQ(out.size(), 3u);
-  // Every message jumped the queue, so arrival order is reversed.
-  EXPECT_EQ(out[0].tuple[0], 3u);
-  EXPECT_EQ(out[2].tuple[0], 1u);
+  // Every frame jumped the queue, so arrival order is reversed.
+  EXPECT_EQ(out[0].value(0, 0), 3u);
+  EXPECT_EQ(out[2].value(0, 0), 1u);
 }
 
 TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
@@ -131,18 +135,18 @@ TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{1, 0}});
-  channel.Send(Message{1, Tuple{2, 0}});
-  channel.Send(Message{1, Tuple{3, 0}});
-  std::vector<Message> out;
-  size_t delivered = channel.Drain(&out);
+  channel.SendBlock(RowBlock(1, {1, 0}));
+  channel.SendBlock(RowBlock(1, {2, 0}));
+  channel.SendBlock(RowBlock(1, {3, 0}));
+  std::vector<TupleBlock> out;
+  size_t delivered = channel.DrainBlocks(&out);
   while (delivered < 3) {
     channel.RetransmitUnacked();
-    delivered += channel.Drain(&out);
+    delivered += channel.DrainBlocks(&out);
   }
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].tuple[0], static_cast<Value>(i + 1));
+    EXPECT_EQ(out[i].value(0, 0), static_cast<Value>(i + 1));
   }
 }
 
@@ -152,14 +156,15 @@ TEST(FaultChannelTest, DelayedFrameStaysPendingThenMatures) {
   spec.delay = 1.0;
   spec.delay_polls = 2;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.Send(Message{1, Tuple{4, 5}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);
+  channel.SendBlock(RowBlock(1, {4, 5}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
   // A delayed frame is in transit, not lost: the channel must still
   // report pending so the receiver keeps polling instead of declaring
   // quiescence.
   EXPECT_TRUE(channel.HasPending());
-  EXPECT_EQ(channel.Drain(&out), 1u);  // matured after delay_polls drains
+  // Matured after delay_polls drains.
+  EXPECT_EQ(channel.DrainBlocks(&out), 1u);
   EXPECT_FALSE(channel.HasPending());
   EXPECT_EQ(channel.fault_counters().delayed, 1u);
 }
@@ -170,11 +175,12 @@ TEST(FaultChannelTest, CorruptByteModeBreaksChecksum) {
   spec.corrupt = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &bytes).ok());
-  channel.SendBytes(bytes);
+  ASSERT_TRUE(EncodeBlock(RowBlock(5, {1, 2}), &bytes).ok());
+  channel.SendBytes(bytes, 1);
   std::vector<std::vector<uint8_t>> out;
   ASSERT_EQ(channel.DrainBytes(&out), 1u);
   EXPECT_FALSE(FrameChecksumOk(out[0].data(), out[0].size()));
+  EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1));
   EXPECT_EQ(channel.fault_counters().corrupted, 1u);
 }
 
@@ -185,8 +191,8 @@ TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &bytes).ok());
-  channel.SendBytes(bytes);
+  ASSERT_TRUE(EncodeBlock(RowBlock(5, {1, 2}), &bytes).ok());
+  channel.SendBytes(bytes, 1);
   std::vector<std::vector<uint8_t>> out;
   // The receiver discards the corrupt frame without acknowledging it...
   EXPECT_EQ(channel.DrainBytes(&out), 0u);
@@ -196,6 +202,7 @@ TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
   ASSERT_EQ(channel.DrainBytes(&out), 1u);
   EXPECT_TRUE(FrameChecksumOk(out[0].data(), out[0].size()));
+  EXPECT_EQ(out[0], bytes);
 }
 
 TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
@@ -204,14 +211,18 @@ TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.Send(Message{1, Tuple{1, 2}});
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 0u);  // first transmission dropped
+  channel.SendBlock(RowBlock(1, {1, 2}));
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 0u);  // first transmission dropped
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  EXPECT_EQ(channel.Drain(&out), 1u);  // recovered
+  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // recovered
   // Delivered frames are acknowledged; nothing left to resend.
   EXPECT_EQ(channel.RetransmitUnacked(), 0u);
   EXPECT_EQ(channel.fault_counters().retransmitted, 1u);
+  // A retransmission is not a new logical send.
+  EXPECT_EQ(channel.total_sent(), 1u);
+  EXPECT_EQ(channel.total_frames(), 1u);
+  EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1));
 }
 
 // ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 #ifndef PDATALOG_TESTS_PARALLEL_TEST_UTIL_H_
 #define PDATALOG_TESTS_PARALLEL_TEST_UTIL_H_
 
+#include <initializer_list>
 #include <string>
 
 #include "core/engine.h"
@@ -94,6 +95,15 @@ inline std::string DumpOutput(const ParallelResult& result,
                               const SymbolTable& symbols, Symbol pred) {
   const Relation* rel = result.output.Find(pred);
   return rel == nullptr ? "" : rel->ToSortedString(symbols);
+}
+
+// A one-row block of `predicate` holding `row`.
+inline TupleBlock RowBlock(Symbol predicate, std::initializer_list<Value> row) {
+  TupleBlock block;
+  block.predicate = predicate;
+  block.arity = static_cast<int>(row.size());
+  block.Append(row.begin(), block.arity);
+  return block;
 }
 
 }  // namespace testing_util

@@ -6,9 +6,12 @@
 
 #include "core/channel.h"
 #include "gtest/gtest.h"
+#include "parallel_test_util.h"
 
 namespace pdatalog {
 namespace {
+
+using testing_util::RowBlock;
 
 TEST(TerminationTest, AllIdleNoTrafficTerminates) {
   TerminationDetector detector(3);
@@ -56,19 +59,19 @@ TEST(TerminationTest, StressPingPongNeverTerminatesEarly) {
     detector.SetIdle(id, false);
     if (id == 0) {
       detector.CountSend(0, 1);
-      network.channel(0, 1).Send(Message{0, Tuple{1}});
+      network.channel(0, 1).SendBlock(RowBlock(0, {1}));
     }
-    std::vector<Message> buffer;
+    std::vector<TupleBlock> buffer;
     while (!detector.terminated()) {
       buffer.clear();
-      size_t n = network.channel(1 - id, id).Drain(&buffer);
+      size_t n = network.channel(1 - id, id).DrainBlocks(&buffer);
       if (n > 0) {
         detector.SetIdle(id, false);
         detector.CountReceive(id, n);
         int h = hops.fetch_add(1) + 1;
         if (h < kHops) {
           detector.CountSend(id, 1);
-          network.channel(id, 1 - id).Send(Message{0, Tuple{1}});
+          network.channel(id, 1 - id).SendBlock(RowBlock(0, {1}));
         }
       } else {
         detector.SetIdle(id, true);
@@ -92,40 +95,48 @@ TEST(TerminationTest, StressPingPongNeverTerminatesEarly) {
 
 TEST(ChannelTest, SendDrainRoundTrip) {
   Channel channel;
-  channel.Send(Message{7, Tuple{1, 2}});
-  channel.Send(Message{7, Tuple{3, 4}});
+  channel.SendBlock(RowBlock(7, {1, 2}));
+  channel.SendBlock(RowBlock(7, {3, 4}));
   EXPECT_TRUE(channel.HasPending());
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 2u);
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 2u);
   ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].tuple, (Tuple{1, 2}));
+  EXPECT_EQ(out[0].predicate, 7u);
+  EXPECT_EQ(out[0].value(0, 0), 1u);
+  EXPECT_EQ(out[0].value(0, 1), 2u);
+  EXPECT_EQ(out[1].value(0, 0), 3u);
   EXPECT_FALSE(channel.HasPending());
   EXPECT_EQ(channel.total_sent(), 2u);
+  EXPECT_EQ(channel.total_frames(), 2u);
+  EXPECT_EQ(channel.total_bytes(), 2 * BlockWireBytes(2, 1));
 }
 
 TEST(ChannelTest, DrainAppendsToExisting) {
   Channel channel;
-  channel.Send(Message{1, Tuple{9}});
-  std::vector<Message> out;
-  out.push_back(Message{0, Tuple{5}});
-  channel.Drain(&out);
+  channel.SendBlock(RowBlock(1, {9}));
+  std::vector<TupleBlock> out;
+  out.push_back(RowBlock(0, {5}));
+  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // counts only new tuples
   ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[1].value(0, 0), 9u);
 }
 
 TEST(CommNetworkTest, MatrixShape) {
   CommNetwork network(3);
-  network.channel(0, 2).Send(Message{1, Tuple{1}});
-  network.channel(0, 2).Send(Message{1, Tuple{2}});
-  network.channel(1, 0).Send(Message{1, Tuple{3}});
+  network.channel(0, 2).SendBlock(RowBlock(1, {1}));
+  network.channel(0, 2).SendBlock(RowBlock(1, {2}));
+  network.channel(1, 0).SendBlock(RowBlock(1, {3}));
   auto m = network.SentMatrix();
   EXPECT_EQ(m[0][2], 2u);
   EXPECT_EQ(m[1][0], 1u);
   EXPECT_EQ(m[2][1], 0u);
+  EXPECT_EQ(network.FramesMatrix()[0][2], 2u);
+  EXPECT_EQ(network.BytesMatrix()[1][0], BlockWireBytes(1, 1));
 }
 
 TEST(CommNetworkTest, ChannelsAreDistinct) {
   CommNetwork network(2);
-  network.channel(0, 1).Send(Message{1, Tuple{1}});
+  network.channel(0, 1).SendBlock(RowBlock(1, {1}));
   EXPECT_FALSE(network.channel(1, 0).HasPending());
   EXPECT_TRUE(network.channel(0, 1).HasPending());
 }
@@ -137,13 +148,16 @@ TEST(ChannelTest, ConcurrentSendersAllDelivered) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&channel] {
       for (int i = 0; i < kPerThread; ++i) {
-        channel.Send(Message{0, Tuple{static_cast<Value>(i)}});
+        channel.SendBlock(RowBlock(0, {static_cast<Value>(i)}));
       }
     });
   }
   for (auto& t : threads) t.join();
-  std::vector<Message> out;
-  EXPECT_EQ(channel.Drain(&out), 4u * kPerThread);
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.DrainBlocks(&out), 4u * kPerThread);
+  EXPECT_EQ(channel.total_sent(), 4u * kPerThread);
+  EXPECT_EQ(channel.total_frames(), 4u * kPerThread);
+  EXPECT_EQ(channel.total_bytes(), 4u * kPerThread * BlockWireBytes(1, 1));
 }
 
 }  // namespace

@@ -11,167 +11,37 @@ using testing_util::AncestorScheme;
 using testing_util::DumpOutput;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
+using testing_util::RowBlock;
 using testing_util::SequentialAncestor;
 
-TEST(WireTest, MessageRoundTrip) {
-  Message in{42, Tuple{1, 2, 3}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  EXPECT_EQ(bytes.size(), in.WireBytes());
-  size_t offset = 0;
-  StatusOr<Message> out = DecodeMessage(bytes, &offset);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->predicate, 42u);
-  EXPECT_EQ(out->tuple, (Tuple{1, 2, 3}));
-  EXPECT_EQ(offset, bytes.size());
-}
-
-TEST(WireTest, ZeroArityMessage) {
-  Message in{7, Tuple{}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  size_t offset = 0;
-  StatusOr<Message> out = DecodeMessage(bytes, &offset);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->tuple.arity(), 0);
-}
-
-TEST(WireTest, LargeValuesSurvive) {
-  Message in{0xffffffffu, Tuple{0xdeadbeefu, 0, 0x7fffffffu}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  size_t offset = 0;
-  StatusOr<Message> out = DecodeMessage(bytes, &offset);
-  ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->predicate, 0xffffffffu);
-  EXPECT_EQ(out->tuple[0], 0xdeadbeefu);
-}
-
-TEST(WireTest, BatchRoundTrip) {
-  std::vector<Message> batch;
-  for (Value i = 0; i < 50; ++i) {
-    batch.push_back(Message{i % 3, Tuple{i, i + 1}});
-  }
-  StatusOr<std::vector<uint8_t>> bytes = EncodeBatch(batch);
-  ASSERT_TRUE(bytes.ok());
-  StatusOr<std::vector<Message>> out = DecodeBatch(*bytes);
-  ASSERT_TRUE(out.ok());
-  ASSERT_EQ(out->size(), 50u);
-  for (size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ((*out)[i].predicate, batch[i].predicate);
-    EXPECT_EQ((*out)[i].tuple, batch[i].tuple);
-  }
-}
-
-TEST(WireTest, WireBytesMatchesEncodedSizeForEveryArity) {
-  // Message::WireBytes and EncodeMessage must agree byte for byte —
-  // the formula lives only in MessageWireBytes (core/channel.h).
-  for (int arity = 0; arity <= kMaxWireArity; ++arity) {
-    std::vector<Value> values(arity, 7);
-    Message m{1, Tuple(values.data(), arity)};
-    std::vector<uint8_t> bytes;
-    ASSERT_TRUE(EncodeMessage(m, &bytes).ok());
-    EXPECT_EQ(bytes.size(), m.WireBytes()) << "arity " << arity;
-    EXPECT_EQ(bytes.size(), MessageWireBytes(arity)) << "arity " << arity;
-  }
-}
-
-TEST(WireTest, EncodeRejectsOversizedArity) {
-  // Encode and decode are symmetric: both reject arity > kMaxWireArity,
-  // so an unencodable message can never be produced on the wire.
-  std::vector<Value> values(kMaxWireArity + 1, 0);
-  Message m{1, Tuple(values.data(), kMaxWireArity + 1)};
-  std::vector<uint8_t> bytes;
-  Status status = EncodeMessage(m, &bytes);
-  EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(bytes.empty());  // nothing appended on failure
-}
-
-TEST(WireTest, TruncatedInputRejected) {
-  Message in{1, Tuple{9, 8, 7}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  // Every prefix shorter than the full frame must fail: cuts inside the
-  // header, the body, and the checksum each exercise a distinct
-  // early-return branch of DecodeMessage.
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    size_t offset = 0;
-    EXPECT_FALSE(DecodeMessage(truncated, &offset).ok()) << "cut " << cut;
-  }
-}
-
-TEST(WireTest, TruncationBranchesAreDistinct) {
-  Message in{1, Tuple{9, 8, 7}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  auto error_at = [&](size_t cut) {
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    size_t offset = 0;
-    return DecodeMessage(truncated, &offset).status().message();
-  };
-  EXPECT_NE(error_at(3).find("header"), std::string::npos);
-  EXPECT_NE(error_at(kWireHeaderBytes + 2).find("body"), std::string::npos);
-  EXPECT_NE(error_at(bytes.size() - 1).find("checksum"), std::string::npos);
-}
-
-TEST(WireTest, GarbageArityRejected) {
-  std::vector<uint8_t> bytes = {0, 0, 0, 0, 0xff, 0xff};  // arity 65535
-  size_t offset = 0;
-  EXPECT_FALSE(DecodeMessage(bytes, &offset).ok());
-}
-
-TEST(WireTest, EveryByteFlipIsDetected) {
-  // Flip each byte of the frame in turn: wherever the flip lands —
-  // predicate, arity, value, or the checksum itself — the trailing
-  // FNV-1a checksum makes the decode fail instead of yielding a
-  // plausible wrong tuple.
-  Message in{42, Tuple{1, 2, 3}};
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(in, &bytes).ok());
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<uint8_t> corrupt = bytes;
-    corrupt[i] ^= 0xa5;
-    size_t offset = 0;
-    EXPECT_FALSE(DecodeMessage(corrupt, &offset).ok()) << "byte " << i;
-    EXPECT_FALSE(FrameChecksumOk(corrupt.data(), corrupt.size()))
-        << "byte " << i;
-  }
-  EXPECT_TRUE(FrameChecksumOk(bytes.data(), bytes.size()));
-}
-
 TEST(WireTest, FrameChecksumRejectsShortFrames) {
-  std::vector<uint8_t> bytes(kWireHeaderBytes + kWireChecksumBytes - 1, 0);
+  std::vector<uint8_t> bytes(kBlockHeaderBytes + kWireChecksumBytes - 1, 0);
   EXPECT_FALSE(FrameChecksumOk(bytes.data(), bytes.size()));
-}
-
-TEST(WireTest, BatchRejectsCorruptMember) {
-  std::vector<Message> batch = {Message{1, Tuple{1, 2}},
-                                Message{2, Tuple{3, 4}}};
-  StatusOr<std::vector<uint8_t>> bytes = EncodeBatch(batch);
-  ASSERT_TRUE(bytes.ok());
-  // Corrupt a byte of the *second* message: DecodeBatch must reject the
-  // whole batch, not return a prefix.
-  std::vector<uint8_t> corrupt = *bytes;
-  corrupt[MessageWireBytes(2) + 6] ^= 0x10;
-  EXPECT_FALSE(DecodeBatch(corrupt).ok());
-  // Truncating mid-message is likewise an error, not a short batch.
-  std::vector<uint8_t> truncated(*bytes);
-  truncated.resize(truncated.size() - 3);
-  EXPECT_FALSE(DecodeBatch(truncated).ok());
 }
 
 TEST(WireTest, SerializedChannelRoundTrip) {
   Channel channel;
+  TupleBlock block = RowBlock(5, {1, 2});
+  Value row[2] = {3, 4};
+  block.Append(row, 2);
   std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeMessage(Message{5, Tuple{1, 2}}, &bytes).ok());
-  channel.SendBytes(bytes);
+  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
+  channel.SendBytes(bytes, block.count);
   EXPECT_TRUE(channel.HasPending());
-  EXPECT_EQ(channel.total_sent(), 1u);
-  EXPECT_EQ(channel.total_bytes(), bytes.size());
+  EXPECT_EQ(channel.total_sent(), 2u);
+  EXPECT_EQ(channel.total_frames(), 1u);
+  EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 2));
   std::vector<std::vector<uint8_t>> out;
   EXPECT_EQ(channel.DrainBytes(&out), 1u);
   EXPECT_FALSE(channel.HasPending());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], bytes);
+  size_t offset = 0;
+  TupleBlock decoded;
+  ASSERT_TRUE(DecodeBlockInto(out[0], &offset, &decoded).ok());
+  EXPECT_EQ(decoded.predicate, 5u);
+  EXPECT_EQ(decoded.value(1, 0), 3u);
+  EXPECT_EQ(decoded.value(1, 1), 4u);
 }
 
 class SerializedEngineTest : public ::testing::TestWithParam<bool> {};

@@ -68,7 +68,7 @@ def match_records(current, baseline):
 
 
 def is_number(value):
-    # bool is an int subclass in Python; flags like spsc_speedup must
+    # bool is an int subclass in Python; flags like skew_improved must
     # not be compared numerically.
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
