@@ -4,8 +4,9 @@
 // the read path of the serving engine (src/server/).
 //
 // Parsing and matching are split so a server can intern symbols under a
-// lock (ParseQuery) and then scan a frozen snapshot lock-free
-// (MatchQuery over a DatabaseView).
+// lock (ParseQuery) and then match against a frozen snapshot lock-free
+// (MatchQuery over a DatabaseView, which probes the snapshot's column
+// indexes and scans only the rows appended after them).
 #ifndef PDATALOG_DATALOG_QUERY_H_
 #define PDATALOG_DATALOG_QUERY_H_
 
@@ -25,10 +26,15 @@ struct QueryResult {
   // The query's distinct variables in first-occurrence order; empty for
   // a ground (boolean) query.
   std::vector<Symbol> variables;
-  // One tuple per match, projected onto `variables` (deduplicated). A
-  // ground query yields a single empty tuple when it holds, none when
-  // it does not.
+  // One tuple per matching row, projected onto `variables`, in
+  // ascending row order. Distinct rows give distinct tuples, so there
+  // are no duplicates to remove. A ground query yields a single empty
+  // tuple when it holds, none when it does not.
   std::vector<Tuple> bindings;
+  // Rows the matcher examined: index hits plus scanned rows. This is
+  // the work a query did, which on an indexed view is far below the
+  // relation's size.
+  size_t rows_examined = 0;
 
   bool IsBoolean() const { return variables.empty(); }
   bool Holds() const { return !bindings.empty(); }
@@ -52,9 +58,12 @@ StatusOr<ParsedQuery> ParseQuery(std::string_view query_text,
 
 // Matches a parsed query against `db` / a frozen `view`. An absent
 // predicate yields an empty result (not an error), like an empty
-// relation would; an arity mismatch is an error. The view overload
-// touches only the frozen rows and is safe to run concurrently with
-// writers of the underlying database.
+// relation would; an arity mismatch is an error. Both overloads run
+// one matcher. Against a view with an index, a query with a constant
+// probes the index for rows [0, index()->rows) and scans the rest;
+// otherwise it scans every row. The view overload touches only the
+// frozen rows and is safe to run concurrently with writers of the
+// underlying database.
 StatusOr<QueryResult> MatchQuery(const ParsedQuery& query,
                                  const Database& db);
 StatusOr<QueryResult> MatchQuery(const ParsedQuery& query,

@@ -83,7 +83,8 @@ struct SlowQueryRecord {
   uint64_t latency_ns = 0;
   uint64_t epoch = 0;        // snapshot the query ran against
   double snapshot_age_ms = 0;  // staleness of that snapshot at query time
-  uint64_t scan_rows = 0;    // rows in the scanned relation
+  uint64_t scan_rows = 0;    // rows the matcher examined (index hits
+                             // plus unindexed tail rows)
   uint64_t result_rows = 0;
   std::string atom;          // rendered query atom, e.g. anc(n3, X)
 };

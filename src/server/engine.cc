@@ -128,7 +128,8 @@ StatusOr<QueryResult> ServerEngine::Query(const ParsedQuery& query) {
   StatusOr<QueryResult> result = MatchQuery(query, snapshot->view);
   const uint64_t end = TraceRing::NowTicks();
   RecordQuery(query, snapshot, begin, end, result.ok(),
-              result.ok() ? result->bindings.size() : 0);
+              result.ok() ? result->bindings.size() : 0,
+              result.ok() ? result->rows_examined : 0);
   return result;
 }
 
@@ -146,7 +147,8 @@ std::string ServerEngine::Render(const QueryResult& result) const {
 void ServerEngine::RecordQuery(
     const ParsedQuery& query,
     const std::shared_ptr<const ServerSnapshot>& snapshot,
-    uint64_t begin_ticks, uint64_t end_ticks, bool ok, size_t rows) {
+    uint64_t begin_ticks, uint64_t end_ticks, bool ok, size_t rows,
+    size_t rows_examined) {
   const uint64_t latency = end_ticks - begin_ticks;
 
   // Slow-query capture happens before the stats lock: rendering the
@@ -160,9 +162,7 @@ void ServerEngine::RecordQuery(
     record.epoch = snapshot->epoch;
     record.snapshot_age_ms =
         static_cast<double>(begin_ticks - snapshot->publish_ticks) / 1e6;
-    const RelationView* scanned =
-        snapshot->view.Find(query.atom.predicate);
-    record.scan_rows = scanned == nullptr ? 0 : scanned->size();
+    record.scan_rows = rows_examined;
     record.result_rows = rows;
     {
       std::lock_guard<std::mutex> lock(symbols_mu_);
@@ -288,6 +288,10 @@ uint64_t ServerEngine::Flush() {
 void ServerEngine::MaintenanceLoop() {
   TraceRing* ring = tracer_ != nullptr ? tracer_->ring(0) : nullptr;
   std::unique_lock<std::mutex> lock(mu_);
+  // This thread is the only publisher after Create, so it can read the
+  // last published snapshot without the lock: each freeze reuses that
+  // view's column indexes while their unindexed tails stay short.
+  std::shared_ptr<const ServerSnapshot> published = snapshot_;
   while (true) {
     queue_cv_.wait(lock, [&] { return stop_ || !queue_.empty(); });
     if (queue_.empty()) break;  // stop_ set and everything drained
@@ -328,7 +332,7 @@ void ServerEngine::MaintenanceLoop() {
       }
     }
     auto snapshot = std::make_shared<ServerSnapshot>();
-    snapshot->view = DatabaseView::Freeze(eval_->db());
+    snapshot->view = DatabaseView::Freeze(eval_->db(), &published->view);
     const uint64_t end = TraceRing::NowTicks();
 
     // Telemetry first, off the engine mutex: the batch's latency and
@@ -351,7 +355,8 @@ void ServerEngine::MaintenanceLoop() {
     lock.lock();
     snapshot->epoch = ++epoch_;
     snapshot->publish_ticks = end;
-    snapshot_ = std::move(snapshot);
+    published = std::move(snapshot);
+    snapshot_ = published;
     applied_ += n;
     applied_cv_.notify_all();
   }

@@ -11,11 +11,14 @@
 //
 //   * Any number of *reader threads* call Query()/QueryText(). A query
 //     pins the current `ServerSnapshot` (a shared_ptr swap under the
-//     engine mutex — the only engine-mutex touch it makes) and then
-//     scans the frozen DatabaseView wait-free: chunks never relocate
-//     and rows below the freeze point never mutate, so readers race
-//     with nothing. The mutex release/acquire on publication orders the
-//     maintenance thread's row writes before any reader's loads.
+//     engine mutex — the only engine-mutex touch it makes) and then,
+//     wait-free, probes the column indexes the maintenance thread
+//     froze with that epoch and scans only the rows appended after
+//     them. Chunks never relocate, rows below the freeze point never
+//     mutate, and a published index is immutable, so readers race with
+//     nothing and never build anything. The mutex release/acquire on
+//     publication orders the maintenance thread's row and index writes
+//     before any reader's loads.
 //
 //   * One *telemetry sampler thread* (when enabled) periodically
 //     rotates the sliding-window histograms and publishes a timestamped
@@ -230,7 +233,7 @@ class ServerEngine {
   void RecordQuery(const ParsedQuery& query,
                    const std::shared_ptr<const ServerSnapshot>& snapshot,
                    uint64_t begin_ticks, uint64_t end_ticks, bool ok,
-                   size_t rows);
+                   size_t rows, size_t rows_examined);
 
   const ServerOptions options_;
   const uint64_t slow_query_ns_;  // 0 = slow-query tracing off

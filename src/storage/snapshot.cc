@@ -10,6 +10,91 @@
 
 namespace pdatalog {
 
+namespace {
+
+// A view keeps its predecessor's index while the rows appended since
+// that index was built number at most 1/8 of the rows it covers. The
+// tail scan is then at most 1/8 of a full scan, and a rebuild happens
+// only after the relation grew by more than 1/8, so amortized each
+// appended row costs about nine index inserts. A fixed ratio, not an
+// option: it trades a bounded tail for a bounded rebuild rate, and
+// neither end needs tuning per workload.
+constexpr size_t kMaxTailShare = 8;  // tail <= indexed rows / 8
+
+constexpr int kMinSlotBits = 4;
+
+// Calls fn(row, cell) for rows [0, rows) of a column given as chunk
+// pointers, one chunk at a time.
+template <typename Fn>
+void ForEachCell(const std::vector<const Value*>& chunks, size_t rows,
+                 Fn fn) {
+  for (size_t base = 0; base < rows; base += ColumnStore::kChunkRows) {
+    const Value* cells = chunks[base >> ColumnStore::kChunkShift];
+    const size_t n = std::min(ColumnStore::kChunkRows, rows - base);
+    for (size_t i = 0; i < n; ++i) fn(base + i, cells[i]);
+  }
+}
+
+}  // namespace
+
+FrozenColumnIndex::FrozenColumnIndex(const std::vector<const Value*>& chunks,
+                                     size_t rows)
+    : slots_(size_t{1} << kMinSlotBits, Slot{0, 0, 0}),
+      shift_(64 - kMinSlotBits) {
+  // Counting pass: one directory slot per distinct key, each counting
+  // its rows. The directory doubles at half load (amortized O(rows)).
+  ForEachCell(chunks, rows, [this](size_t, Value key) {
+    Slot* slot = &slots_[SlotOf(key)];
+    if (slot->count == 0) {
+      if (2 * (num_keys_ + 1) > slots_.size()) {
+        Grow();
+        slot = &slots_[SlotOf(key)];
+      }
+      slot->key = key;
+      ++num_keys_;
+    }
+    ++slot->count;
+  });
+  // Lay the keys' posting runs out back to back, in slot order.
+  uint32_t next = 0;
+  for (Slot& slot : slots_) {
+    slot.begin = next;
+    next += slot.count;
+  }
+  // Scatter pass: rows in ascending order, so each key's run ascends.
+  // `begin` serves as the key's write cursor and is rewound after.
+  postings_.resize(rows);
+  ForEachCell(chunks, rows, [this](size_t row, Value key) {
+    postings_[slots_[SlotOf(key)].begin++] = static_cast<uint32_t>(row);
+  });
+  for (Slot& slot : slots_) slot.begin -= slot.count;
+}
+
+size_t FrozenColumnIndex::SlotOf(Value key) const {
+  // Fibonacci hashing: keys are interned ids, often dense, and the top
+  // bits of one multiply spread them evenly. A full 64-bit mixer made
+  // the counting pass about four times slower.
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>((uint64_t{key} * 0x9e3779b97f4a7c15ull) >>
+                                 shift_);
+  while (slots_[i].count != 0 && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+void FrozenColumnIndex::Grow() {
+  std::vector<Slot> old(2 * slots_.size(), Slot{0, 0, 0});
+  old.swap(slots_);
+  --shift_;
+  for (const Slot& slot : old) {
+    if (slot.count != 0) slots_[SlotOf(slot.key)] = slot;
+  }
+}
+
+std::span<const uint32_t> FrozenColumnIndex::Find(Value key) const {
+  const Slot& slot = slots_[SlotOf(key)];
+  return {postings_.data() + slot.begin, slot.count};
+}
+
 RelationView::RelationView(const Relation& relation)
     : arity_(relation.arity()), num_rows_(relation.size()) {
   const ColumnStore& store = relation.store();
@@ -55,11 +140,30 @@ std::string RelationView::ToSortedString(const SymbolTable& symbols) const {
   return out;
 }
 
-DatabaseView DatabaseView::Freeze(const Database& db) {
+DatabaseView DatabaseView::Freeze(const Database& db,
+                                  const DatabaseView* previous) {
   DatabaseView view;
   view.relations_.reserve(db.relation_count());
   for (const auto& [pred, rel] : db.relations()) {
-    view.relations_.emplace(pred, RelationView(*rel));
+    RelationView frozen(*rel);
+    const RelationView* prior =
+        previous == nullptr ? nullptr : previous->Find(pred);
+    const FrozenIndex* reusable =
+        prior == nullptr ? nullptr : prior->index();
+    if (reusable != nullptr && prior->arity() == frozen.arity() &&
+        reusable->rows <= frozen.size() &&
+        (frozen.size() - reusable->rows) * kMaxTailShare <= reusable->rows) {
+      frozen.index_ = prior->index_;
+    } else {
+      auto index = std::make_shared<FrozenIndex>();
+      index->rows = frozen.size();
+      index->columns.reserve(frozen.columns_.size());
+      for (const std::vector<const Value*>& chunks : frozen.columns_) {
+        index->columns.emplace_back(chunks, frozen.size());
+      }
+      frozen.index_ = std::move(index);
+    }
+    view.relations_.emplace(pred, std::move(frozen));
   }
   return view;
 }

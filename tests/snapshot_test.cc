@@ -205,6 +205,59 @@ TEST(DatabaseViewTest, FrozenViewMatchesAndStaysConstant) {
   EXPECT_EQ(view.Find(symbols.Intern("nosuch")), nullptr);
 }
 
+// A view keeps its predecessor's index while the tail of rows appended
+// since that index was built is at most 1/8 of the rows it covers, and
+// builds a fresh index over every row one row past that.
+TEST(DatabaseViewTest, IndexReusedUpToAnEighthTailThenRebuilt) {
+  SymbolTable symbols;
+  Database db;
+  const Symbol pred = symbols.Intern("edge");
+  Relation& rel = db.GetOrCreate(pred, 2);
+  const Symbol other = symbols.Intern("other");
+  db.GetOrCreate(other, 1).Insert(Tuple{symbols.Intern("z")});
+  auto append = [&](size_t rows) {
+    for (size_t target = rel.size() + rows; rel.size() < target;) {
+      const size_t i = rel.size();
+      rel.Insert(Tuple{symbols.Intern("a" + std::to_string(i % 37)),
+                       symbols.Intern("b" + std::to_string(i))});
+    }
+  };
+  append(800);
+  const DatabaseView first = DatabaseView::Freeze(db);
+  const FrozenIndex* index = first.Find(pred)->index();
+  ASSERT_NE(index, nullptr);
+  EXPECT_EQ(index->rows, 800u);
+  ASSERT_EQ(index->columns.size(), 2u);
+
+  append(100);  // tail = 800 / 8: reused
+  const DatabaseView at_bound = DatabaseView::Freeze(db, &first);
+  EXPECT_EQ(at_bound.Find(pred)->index(), index);
+  EXPECT_EQ(at_bound.Find(pred)->size(), 900u);
+  // An unchanged relation keeps its index too.
+  EXPECT_EQ(at_bound.Find(other)->index(), first.Find(other)->index());
+
+  append(1);  // tail = 800 / 8 + 1: rebuilt over all 901 rows
+  const DatabaseView past_bound = DatabaseView::Freeze(db, &at_bound);
+  const FrozenIndex* rebuilt = past_bound.Find(pred)->index();
+  EXPECT_NE(rebuilt, index);
+  EXPECT_EQ(rebuilt->rows, 901u);
+  // Without a predecessor every relation is indexed in full.
+  EXPECT_EQ(DatabaseView::Freeze(db).Find(pred)->index()->rows, 901u);
+
+  // Postings ascend and name exactly the rows holding the key; an
+  // absent key has none. The old index still answers for its prefix.
+  const Symbol a5 = symbols.Lookup("a5");
+  std::span<const uint32_t> rows = rebuilt->columns[0].Find(a5);
+  ASSERT_EQ(rows.size(), 25u);  // i % 37 == 5 for i < 901
+  for (size_t k = 0; k < rows.size(); ++k) {
+    EXPECT_EQ(rows[k], 5 + 37 * k);
+    EXPECT_EQ(rel.cell(rows[k], 0), a5);
+  }
+  EXPECT_EQ(index->columns[0].Find(a5).size(), 22u);  // i < 800
+  EXPECT_EQ(rebuilt->columns[1].Find(symbols.Lookup("b900")).size(), 1u);
+  EXPECT_TRUE(rebuilt->columns[0].Find(symbols.Intern("nosuch")).empty());
+}
+
 TEST_F(SnapshotTest, SaveFromViewEqualsSaveFromDatabase) {
   SymbolTable symbols;
   Database db;
