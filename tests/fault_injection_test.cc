@@ -22,6 +22,7 @@ namespace {
 
 using testing_util::AncestorScheme;
 using testing_util::DumpOutput;
+using testing_util::GenPointsToFacts;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
 using testing_util::ParseOrDie;
@@ -288,29 +289,6 @@ TEST_P(FaultMatrixTest, AncestorExactUnderEveryFaultModeWithRetransmit) {
     EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected)
         << mode.name;
     EXPECT_TRUE(result->faults.any()) << mode.name << ": injector idle";
-  }
-}
-
-// Synthetic points-to input: assignments and heap operations over
-// `vars` variables and `objs` abstract objects.
-void GenPointsToFacts(SymbolTable* symbols, Database* db, int vars,
-                      int objs, int facts, uint64_t seed) {
-  SplitMix64 rng(seed);
-  Relation& new_rel = db->GetOrCreate(symbols->Intern("new"), 2);
-  Relation& assign = db->GetOrCreate(symbols->Intern("assign"), 2);
-  Relation& load = db->GetOrCreate(symbols->Intern("load"), 2);
-  Relation& store = db->GetOrCreate(symbols->Intern("store"), 2);
-  auto var = [&](uint64_t i) {
-    return symbols->Intern("v" + std::to_string(i));
-  };
-  auto obj = [&](uint64_t i) {
-    return symbols->Intern("o" + std::to_string(i));
-  };
-  for (int i = 0; i < facts; ++i) {
-    new_rel.Insert(Tuple{var(rng.NextBelow(vars)), obj(rng.NextBelow(objs))});
-    assign.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
-    load.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
-    store.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/partition.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
+#include "util/hash.h"
 
 namespace pdatalog {
 namespace testing_util {
@@ -95,6 +96,29 @@ inline std::string DumpOutput(const ParallelResult& result,
                               const SymbolTable& symbols, Symbol pred) {
   const Relation* rel = result.output.Find(pred);
   return rel == nullptr ? "" : rel->ToSortedString(symbols);
+}
+
+// Synthetic points-to input: assignments and heap operations over
+// `vars` variables and `objs` abstract objects.
+inline void GenPointsToFacts(SymbolTable* symbols, Database* db, int vars,
+                             int objs, int facts, uint64_t seed) {
+  SplitMix64 rng(seed);
+  Relation& new_rel = db->GetOrCreate(symbols->Intern("new"), 2);
+  Relation& assign = db->GetOrCreate(symbols->Intern("assign"), 2);
+  Relation& load = db->GetOrCreate(symbols->Intern("load"), 2);
+  Relation& store = db->GetOrCreate(symbols->Intern("store"), 2);
+  auto var = [&](uint64_t i) {
+    return symbols->Intern("v" + std::to_string(i));
+  };
+  auto obj = [&](uint64_t i) {
+    return symbols->Intern("o" + std::to_string(i));
+  };
+  for (int i = 0; i < facts; ++i) {
+    new_rel.Insert(Tuple{var(rng.NextBelow(vars)), obj(rng.NextBelow(objs))});
+    assign.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
+    load.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
+    store.Insert(Tuple{var(rng.NextBelow(vars)), var(rng.NextBelow(vars))});
+  }
 }
 
 // A one-row block of `predicate` holding `row`.
