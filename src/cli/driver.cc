@@ -584,6 +584,7 @@ StatusOr<std::string> RunCli(const CliOptions& options,
       m.AddCounter("eval.firings", stats.firings);
       m.AddCounter("eval.tuples_inserted", stats.tuples_inserted);
       m.AddCounter("eval.rows_examined", stats.rows_examined);
+      m.AddCounter("eval.batch_fallbacks", stats.batch_fallbacks);
       if (tracer != nullptr) {
         m.AddCounter("trace.events", tracer->total_events());
         m.AddCounter("trace.dropped", tracer->total_dropped());

@@ -270,12 +270,11 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   for (int i = 0; i < bundle.num_processors; ++i) {
     StatusOr<std::unique_ptr<Worker>> worker =
         Worker::Create(&bundle, i, edb, std::move(partition->fragments[i]),
-                       &network, &detector);
+                       &network, &detector, rebalance.get());
     if (!worker.ok()) return worker.status();
     (*worker)->set_serialize_messages(options.serialize_messages);
     (*worker)->set_retransmit(options.retransmit);
     (*worker)->set_block_tuples(options.block_tuples);
-    if (rebalance != nullptr) (*worker)->set_rebalance(rebalance.get());
     if (options.tracer != nullptr) {
       (*worker)->set_trace(options.tracer->ring(i));
     }

@@ -14,9 +14,11 @@ namespace pdatalog {
 StatusOr<std::unique_ptr<Worker>> Worker::Create(
     const RewriteBundle* bundle, int id, const Database* edb,
     std::unordered_map<int, std::unique_ptr<Relation>> fragments,
-    CommNetwork* network, TerminationDetector* detector) {
-  std::unique_ptr<Worker> worker(new Worker(
-      bundle, id, edb, std::move(fragments), network, detector));
+    CommNetwork* network, TerminationDetector* detector,
+    RebalanceCoordinator* rebalance) {
+  std::unique_ptr<Worker> worker(new Worker(bundle, id, edb,
+                                            std::move(fragments), network,
+                                            detector, rebalance));
   Status status = worker->Setup();
   if (!status.ok()) return status;
   return worker;
@@ -24,133 +26,95 @@ StatusOr<std::unique_ptr<Worker>> Worker::Create(
 
 Worker::Worker(const RewriteBundle* bundle, int id, const Database* edb,
                std::unordered_map<int, std::unique_ptr<Relation>> fragments,
-               CommNetwork* network, TerminationDetector* detector)
+               CommNetwork* network, TerminationDetector* detector,
+               RebalanceCoordinator* rebalance)
     : bundle_(bundle),
       id_(id),
       num_processors_(bundle->num_processors),
       edb_(edb),
       network_(network),
       detector_(detector),
+      rebalance_(rebalance),
       fragments_(std::move(fragments)) {}
 
 Status Worker::Setup() {
-  local_program_ = &bundle_->per_processor[id_];
-
-  // Local classification: t_in predicates are fed by the channels, so
-  // the semi-naive compiler must treat them as delta-tracked (derived).
-  ProgramInfo local_info;
-  PDATALOG_RETURN_IF_ERROR(Validate(*local_program_, &local_info));
+  const Program& program = bundle_->per_processor[id_];
+  PDATALOG_RETURN_IF_ERROR(Validate(program, &info_));
   for (const auto& [orig, in_sym] : bundle_->in_name) {
-    if (local_info.arity.find(in_sym) == local_info.arity.end()) {
+    if (info_.arity.emplace(in_sym, bundle_->arity.at(orig)).second) {
       // This t_in never occurs in the local program (no rule consumes
       // the predicate); register it so receives still have a home.
-      local_info.arity[in_sym] = bundle_->arity.at(orig);
-      local_info.predicates.push_back(in_sym);
+      info_.predicates.push_back(in_sym);
     }
-    local_info.base.erase(in_sym);
-    local_info.derived.insert(in_sym);
+    info_.base.erase(in_sym);
+    info_.derived.insert(in_sym);
   }
 
-  StatusOr<CompiledProgram> compiled =
-      CompiledProgram::Compile(*local_program_, local_info);
-  if (!compiled.ok()) return compiled.status();
-  compiled_ = std::move(*compiled);
-
-  // Local t_out / t_in relations, plus a buffered inserter per t_out
-  // (the head relations the processing rules fire into).
+  // The t_out / t_in relations, handed to the evaluator below. A
+  // Database keeps its relations at stable addresses, so the worker
+  // goes on appending received blocks to the t_in relations the
+  // evaluator owns.
+  Database local;
+  num_derived_ = static_cast<int>(bundle_->derived.size());
   for (Symbol p : bundle_->derived) {
     int arity = bundle_->arity.at(p);
-    Symbol out_sym = bundle_->out_name.at(p);
-    Relation& out = local_db_.GetOrCreate(out_sym, arity);
-    local_db_.GetOrCreate(bundle_->in_name.at(p), arity);
-    in_old_end_[bundle_->in_name.at(p)] = 0;
-    out_sent_end_[out_sym] = 0;
-    head_inserters_.try_emplace(out_sym, &out);
+    out_rels_.push_back(&local.GetOrCreate(bundle_->out_name.at(p), arity));
+    in_rels_[p] = &local.GetOrCreate(bundle_->in_name.at(p), arity);
   }
-
-  // Occurrence lookup for fragment resolution.
-  std::unordered_map<int64_t, int> occ_by_pos;
-  for (size_t k = 0; k < bundle_->base_occurrences.size(); ++k) {
-    const BaseOccurrence& occ = bundle_->base_occurrences[k];
-    occ_by_pos[(static_cast<int64_t>(occ.rule_index) << 32) |
-               occ.body_index] = static_cast<int>(k);
-  }
-
-  // Resolve every body atom to its data source.
-  body_sources_.resize(local_program_->rules.size());
-  for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-    const Rule& rule = local_program_->rules[r];
-    body_sources_[r].resize(rule.body.size());
-    for (size_t b = 0; b < rule.body.size(); ++b) {
-      const Atom& atom = rule.body[b];
-      if (Relation* local = local_db_.Find(atom.predicate)) {
-        body_sources_[r][b] = local;  // t_in relation
-        continue;
-      }
-      auto occ_it =
-          occ_by_pos.find((static_cast<int64_t>(r) << 32) | b);
-      assert(occ_it != occ_by_pos.end());
-      const BaseOccurrence& occ = bundle_->base_occurrences[occ_it->second];
-      if (occ.access == BaseOccurrence::Access::kFragment) {
-        auto frag_it = fragments_.find(occ_it->second);
-        assert(frag_it != fragments_.end());
-        body_sources_[r][b] = frag_it->second.get();
-      } else {
-        const Relation* shared = edb_->Find(atom.predicate);
-        if (shared == nullptr) {
-          // No facts for this base predicate: use an empty local one.
-          shared = &local_db_.GetOrCreate(atom.predicate,
-                                          bundle_->arity.at(atom.predicate));
-        }
-        body_sources_[r][b] = shared;
-      }
-    }
-  }
-
-  // One accumulation block per (destination, derived predicate); the
-  // slot order follows bundle_->derived so SendTuple indexes a flat
-  // array instead of hashing.
-  num_derived_ = static_cast<int>(bundle_->derived.size());
-  pred_slot_.reserve(bundle_->derived.size());
-  for (size_t k = 0; k < bundle_->derived.size(); ++k) {
-    pred_slot_[bundle_->derived[k]] = static_cast<int>(k);
-  }
+  out_sent_end_.assign(num_derived_, 0);
   send_blocks_.resize(static_cast<size_t>(num_processors_) * num_derived_);
 
-  // Precompile the sending rules: per-predicate routing tables with
-  // resolved variable positions and flattened pattern checks, so
-  // SendTuple never re-scans the spec list. set_rebalance() rebuilds
-  // the router around its per-worker view.
-  constraint_eval_ = bundle_->registry.get();
-  router_ =
-      TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
+  // Bind every base occurrence to the relation it reads: this worker's
+  // fragment, the shared replicated EDB relation, or an empty stand-in
+  // for a predicate without facts.
+  std::vector<std::vector<const Relation*>> bound(program.rules.size());
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    bound[r].resize(program.rules[r].body.size(), nullptr);
+  }
+  auto predicate_of = [&](const BaseOccurrence& occ) {
+    return program.rules[occ.rule_index].body[occ.body_index].predicate;
+  };
+  for (size_t k = 0; k < bundle_->base_occurrences.size(); ++k) {
+    const BaseOccurrence& occ = bundle_->base_occurrences[k];
+    const Relation* rel;
+    if (occ.access == BaseOccurrence::Access::kFragment) {
+      rel = fragments_.at(static_cast<int>(k)).get();
+    } else {
+      Symbol pred = predicate_of(occ);
+      rel = edb_->Find(pred);
+      if (rel == nullptr) {
+        rel = &empty_bases_.GetOrCreate(pred, bundle_->arity.at(pred));
+      }
+    }
+    bound[occ.rule_index][occ.body_index] = rel;
+  }
 
-  // Indexes on static sources (fragments and empty locals); shared EDB
-  // relations are pre-indexed by the engine before workers start.
-  for (const auto& [pred, mask] : compiled_.required_indexes()) {
-    for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-      const Rule& rule = local_program_->rules[r];
-      for (size_t b = 0; b < rule.body.size(); ++b) {
-        if (rule.body[b].predicate != pred) continue;
-        // const_cast is safe here: fragments and local relations belong
-        // to this worker and are only indexed before/between rounds.
-        Relation* src = const_cast<Relation*>(body_sources_[r][b]);
-        bool is_in_rel = in_old_end_.count(pred) > 0;
-        bool is_shared_edb = edb_->Find(pred) == src;
-        if (!is_in_rel && !is_shared_edb) src->EnsureIndex(mask);
+  // Hash constraints and routing go through the shared registry, or
+  // through the rebalancer's per-worker view when rebalancing is on.
+  const ConstraintEvaluator* constraints = bundle_->registry.get();
+  if (rebalance_ != nullptr) {
+    remap_view_ = rebalance_->MakeView(id_);
+    constraints = remap_view_.get();
+  }
+  router_ = TupleRouter(bundle_->sends[id_], num_processors_, constraints);
+
+  StatusOr<IncrementalEvaluator> eval = IncrementalEvaluator::Create(
+      program, info_, EvalOptions(), std::move(local), constraints,
+      std::move(bound));
+  if (!eval.ok()) return eval.status();
+  eval_.emplace(std::move(*eval));
+
+  // Index the base relations this worker owns; shared EDB relations are
+  // pre-indexed by the engine before workers start.
+  for (const auto& [pred, mask] : eval_->compiled().required_indexes()) {
+    if (Relation* empty = empty_bases_.Find(pred)) empty->EnsureIndex(mask);
+    for (auto& [k, fragment] : fragments_) {
+      if (predicate_of(bundle_->base_occurrences[k]) == pred) {
+        fragment->EnsureIndex(mask);
       }
     }
   }
   return Status::Ok();
-}
-
-void Worker::set_rebalance(RebalanceCoordinator* coordinator) {
-  rebalance_ = coordinator;
-  if (coordinator == nullptr) return;
-  remap_view_ = coordinator->MakeView(id_);
-  constraint_eval_ = remap_view_.get();
-  router_ =
-      TupleRouter(bundle_->sends[id_], num_processors_, constraint_eval_);
 }
 
 void Worker::set_trace(TraceRing* ring) {
@@ -158,79 +122,52 @@ void Worker::set_trace(TraceRing* ring) {
   // Bulk ingests into the t_in relations happen on this worker's thread
   // (DrainChannels), so they may share the worker's ring — and, when
   // tracing is on, the worker's ingest histograms.
-  for (const auto& [in_sym, unused] : in_old_end_) {
-    (void)unused;
-    Relation* rel = local_db_.Find(in_sym);
+  for (const auto& [pred, rel] : in_rels_) {
     rel->set_trace(ring);
     rel->set_insert_profile(ring != nullptr ? &profile_.insert_ns : nullptr);
     rel->set_insert_tuples(ring != nullptr ? &profile_.insert_tuples
                                            : nullptr);
   }
   // The batch join kernel records surviving keys per probe batch.
-  join_scratch_.probe_batch =
-      ring != nullptr ? &profile_.probe_batch : nullptr;
+  eval_->set_probe_batch(ring != nullptr ? &profile_.probe_batch : nullptr);
 }
 
 const Relation& Worker::OutputRelation(Symbol p) const {
-  const Relation* rel = local_db_.Find(bundle_->out_name.at(p));
+  const Relation* rel = eval_->Find(bundle_->out_name.at(p));
   assert(rel != nullptr);
   return *rel;
 }
 
-void Worker::EnsureLocalIndexes() {
-  for (const auto& [pred, mask] : compiled_.required_indexes()) {
-    if (in_old_end_.count(pred) == 0) continue;  // only t_in grows
-    local_db_.Find(pred)->EnsureIndex(mask);
-  }
+void Worker::BeginRoundLog(uint64_t received) {
+  RoundLog& log = round_logs_.emplace_back();
+  log.received = received;
+  log.sent_to.assign(num_processors_, 0);
+}
+
+Status Worker::Evaluate() {
+  StatusOr<EvalStats> batch = eval_->Evaluate();
+  if (!batch.ok()) return batch.status();
+  stats_.firings += batch->firings;
+  stats_.out_inserted += batch->tuples_inserted;
+  stats_.rows_examined += batch->rows_examined;
+  stats_.batch_fallbacks += batch->batch_fallbacks;
+  round_logs_.back().firings = batch->firings;
+  return Status::Ok();
 }
 
 Status Worker::Init() {
   TraceScope span(trace_, TracePhase::kInit);
-  round_logs_.emplace_back();
-  current_log_ = &round_logs_.back();
-  current_log_->sent_to.assign(num_processors_, 0);
-  ExecStats es;
-  for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-    const auto& variants = compiled_.rules()[r];
-    if (variants.has_derived_body) continue;
-    const Rule& rule = local_program_->rules[r];
-    BatchInserter& inserter = head_inserters_.at(rule.head.predicate);
-    std::vector<AtomInput> inputs(rule.body.size());
-    for (size_t b = 0; b < rule.body.size(); ++b) {
-      const Relation* src = body_sources_[r][b];
-      inputs[b] = AtomInput{src, 0, src->size()};
-    }
-    JoinExecutor::Execute(
-        variants.full, inputs, constraint_eval_,
-        [&](const Value* values, int n) {
-          stats_.out_inserted += inserter.Push(values, n);
-        },
-        &es, &join_scratch_);
-    stats_.out_inserted += inserter.Flush();
-  }
-  stats_.firings += es.firings;
-  stats_.rows_examined += es.rows_examined;
-  stats_.batch_fallbacks += es.batch_fallbacks;
-  current_log_->firings = es.firings;
-
+  BeginRoundLog(0);
+  PDATALOG_RETURN_IF_ERROR(Evaluate());
   // Route the initial output delta (Section 3: tuples derived by the
   // initialization rule flow through the sending rules like any other).
-  for (Symbol p : bundle_->derived) {
-    Relation* out = local_db_.Find(bundle_->out_name.at(p));
-    size_t& sent = out_sent_end_[bundle_->out_name.at(p)];
-    SendNewRows(p, *out, sent, out->size());
-    sent = out->size();
-  }
-  FlushSends();
-  current_log_ = nullptr;
+  SendOutputs();
   return send_status_;
 }
 
 StatusOr<size_t> Worker::IngestBlock(const TupleBlock& block, int from) {
-  auto in_it = bundle_->in_name.find(block.predicate);
-  Relation* in_rel = in_it == bundle_->in_name.end()
-                         ? nullptr
-                         : local_db_.Find(in_it->second);
+  auto in_it = in_rels_.find(block.predicate);
+  Relation* in_rel = in_it == in_rels_.end() ? nullptr : in_it->second;
   if (in_rel == nullptr || in_rel->arity() != block.arity) {
     // A corrupted frame can pass the checksum only with probability
     // 2^-32, but a bug in the sending rules would land here too; both
@@ -296,90 +233,7 @@ StatusOr<size_t> Worker::DrainChannels() {
   if (total == 0) return size_t{0};
   detector_->CountReceive(id_, total);
   stats_.received += total;
-  pending_received_ += total;
   return total;
-}
-
-void Worker::ProcessRound() {
-  ++stats_.rounds;
-  if (trace_ != nullptr) {
-    trace_->Instant(TracePhase::kRound, static_cast<uint32_t>(stats_.rounds));
-  }
-  round_logs_.emplace_back();
-  current_log_ = &round_logs_.back();
-  current_log_->sent_to.assign(num_processors_, 0);
-  current_log_->received = pending_received_;
-  pending_received_ = 0;
-
-  // Freeze this round's delta windows.
-  std::unordered_map<Symbol, size_t> cur_end;
-  for (auto& [in_sym, old_end] : in_old_end_) {
-    (void)old_end;
-    cur_end[in_sym] = local_db_.Find(in_sym)->size();
-  }
-  EnsureLocalIndexes();
-
-  ExecStats es;
-  {
-    TraceScope probe(trace_, TracePhase::kProbe,
-                     static_cast<uint32_t>(stats_.rounds),
-                     trace_ != nullptr ? &profile_.probe_ns : nullptr);
-    for (size_t r = 0; r < local_program_->rules.size(); ++r) {
-      const auto& variants = compiled_.rules()[r];
-      if (!variants.has_derived_body) continue;
-      const Rule& rule = local_program_->rules[r];
-      BatchInserter& inserter = head_inserters_.at(rule.head.predicate);
-
-      for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-        std::vector<AtomInput> inputs(rule.body.size());
-        bool empty_delta = false;
-        for (size_t b = 0; b < rule.body.size(); ++b) {
-          const Atom& atom = rule.body[b];
-          const Relation* src = body_sources_[r][b];
-          auto old_it = in_old_end_.find(atom.predicate);
-          if (old_it == in_old_end_.end()) {  // base atom
-            inputs[b] = AtomInput{src, 0, src->size()};
-            continue;
-          }
-          size_t old_end = old_it->second;
-          size_t cur = cur_end.at(atom.predicate);
-          if (static_cast<int>(b) == delta_idx) {
-            inputs[b] = AtomInput{src, old_end, cur};
-            if (old_end == cur) empty_delta = true;
-          } else if (static_cast<int>(b) < delta_idx) {
-            inputs[b] = AtomInput{src, 0, old_end};
-          } else {
-            inputs[b] = AtomInput{src, 0, cur};
-          }
-        }
-        if (empty_delta) continue;
-        JoinExecutor::Execute(
-            delta_rule, inputs, constraint_eval_,
-            [&](const Value* values, int n) {
-              stats_.out_inserted += inserter.Push(values, n);
-            },
-            &es, &join_scratch_);
-        stats_.out_inserted += inserter.Flush();
-      }
-    }
-  }
-  stats_.firings += es.firings;
-  stats_.rows_examined += es.rows_examined;
-  stats_.batch_fallbacks += es.batch_fallbacks;
-  current_log_->firings = es.firings;
-
-  // Send the new outputs, then advance the t_in watermarks.
-  for (Symbol p : bundle_->derived) {
-    Relation* out = local_db_.Find(bundle_->out_name.at(p));
-    size_t& sent = out_sent_end_[bundle_->out_name.at(p)];
-    SendNewRows(p, *out, sent, out->size());
-    sent = out->size();
-  }
-  for (auto& [in_sym, old_end] : in_old_end_) {
-    old_end = cur_end.at(in_sym);
-  }
-  FlushSends();
-  current_log_ = nullptr;
 }
 
 void Worker::FlushBlock(int dest, TupleBlock* block) {
@@ -426,18 +280,21 @@ void Worker::FlushSends() {
   }
 }
 
-void Worker::SendNewRows(Symbol pred, const Relation& out, size_t begin,
-                         size_t end) {
-  if (begin >= end) return;
-  const int arity = out.arity();
-  int slot;
-  if (pred == last_pred_) {
-    slot = last_slot_;
-  } else {
-    slot = pred_slot_.at(pred);
-    last_pred_ = pred;
-    last_slot_ = slot;
+void Worker::SendOutputs() {
+  for (int slot = 0; slot < num_derived_; ++slot) {
+    const size_t end = out_rels_[slot]->size();
+    SendNewRows(slot, out_sent_end_[slot], end);
+    out_sent_end_[slot] = end;
   }
+  FlushSends();
+}
+
+void Worker::SendNewRows(int slot, size_t begin, size_t end) {
+  if (begin >= end) return;
+  const Symbol pred = bundle_->derived[slot];
+  const Relation& out = *out_rels_[slot];
+  const int arity = out.arity();
+  RoundLog& log = round_logs_.back();
 
   // Gather up to 256 rows out of the column store, route them in one
   // batch (one predicate lookup, per-row stamp dedup: the channel
@@ -469,7 +326,7 @@ void Worker::SendNewRows(Symbol pred, const Relation& out, size_t begin,
           block.arity = arity;
         }
         block.Append(row, arity);
-        if (current_log_ != nullptr) ++current_log_->sent_to[dest];
+        ++log.sent_to[dest];
         if (dest == id_) {
           ++stats_.sent_self;
         } else {
@@ -494,22 +351,23 @@ StatusOr<bool> Worker::Step() {
   if (rebalance_ != nullptr) rebalance_->Sync(id_, remap_view_.get());
   StatusOr<size_t> got = DrainChannels();
   if (!got.ok()) return got.status();
-  bool has_delta = false;
-  for (const auto& [in_sym, old_end] : in_old_end_) {
-    if (old_end < local_db_.Find(in_sym)->size()) {
-      has_delta = true;
-      break;
-    }
+  // Only a drain appends to t_in, so without one there is no delta.
+  if (*got == 0) return false;
+
+  Stopwatch round_watch;
+  const uint32_t round = static_cast<uint32_t>(++stats_.rounds);
+  if (trace_ != nullptr) trace_->Instant(TracePhase::kRound, round);
+  BeginRoundLog(*got);
+  {
+    TraceScope probe(trace_, TracePhase::kProbe, round,
+                     trace_ != nullptr ? &profile_.probe_ns : nullptr);
+    PDATALOG_RETURN_IF_ERROR(Evaluate());
   }
-  if (*got == 0 && !has_delta) return false;
+  SendOutputs();
   if (rebalance_ != nullptr) {
-    Stopwatch round_watch;
-    ProcessRound();
     rebalance_->ReportWindow(
         id_, static_cast<uint64_t>(round_watch.ElapsedSeconds() * 1e9),
         remap_view_.get());
-  } else {
-    ProcessRound();
   }
   if (!send_status_.ok()) return send_status_;
   return true;

@@ -1,11 +1,15 @@
-// One processor of the abstract architecture: evaluates its rewritten
-// program Q_i/R_i/T_i with a local semi-naive loop, sending output
-// deltas through the channel network and receiving asynchronously
-// (Section 3: "processor i does not wait for data from processor j").
+// One processor of the abstract architecture: channels, routing and
+// termination around one IncrementalEvaluator (eval/incremental.h) that
+// runs the rewritten program Q_i/R_i/T_i semi-naively. The worker
+// drains received blocks into the evaluator's t_in relations, lets it
+// run one round over them, and routes each t_out's new rows through the
+// sending rules; receives are asynchronous (Section 3: "processor i
+// does not wait for data from processor j").
 #ifndef PDATALOG_CORE_WORKER_H_
 #define PDATALOG_CORE_WORKER_H_
 
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -15,7 +19,7 @@
 #include "core/rewrite.h"
 #include "core/routing.h"
 #include "core/termination.h"
-#include "eval/seminaive.h"
+#include "eval/incremental.h"
 #include "obs/histogram.h"
 #include "storage/database.h"
 
@@ -67,19 +71,25 @@ class Worker {
  public:
   // `fragments` are this worker's base fragments, moved in; replicated
   // base relations are read directly (and concurrently) from `edb`.
-  // All pointers must outlive the worker.
+  // `rebalance`, when non-null, enables skew-adaptive repartitioning:
+  // the worker routes and accepts through a per-worker RemapView of the
+  // coordinator's managed function, syncs override epochs at every Step
+  // and idle poll, and reports busy windows after each processing
+  // round. All pointers must outlive the worker.
   static StatusOr<std::unique_ptr<Worker>> Create(
       const RewriteBundle* bundle, int id, const Database* edb,
       std::unordered_map<int, std::unique_ptr<Relation>> fragments,
-      CommNetwork* network, TerminationDetector* detector);
+      CommNetwork* network, TerminationDetector* detector,
+      RebalanceCoordinator* rebalance = nullptr);
 
-  // Evaluates the initialization rules (those without t_in body atoms)
-  // and sends the resulting output delta. Call once before stepping.
-  // Fails if an outgoing tuple cannot be encoded.
+  // Runs the evaluator's opening batch, which fires the initialization
+  // rules (those without t_in body atoms), and sends the resulting
+  // output delta. Call once before stepping. Fails if an outgoing tuple
+  // cannot be encoded.
   Status Init();
 
-  // Drains the incoming channels and, if anything new arrived, runs one
-  // semi-naive round over the new t_in delta and sends the new outputs.
+  // Drains the incoming channels and, if anything arrived, runs one
+  // evaluator round over the new t_in delta and sends the new outputs.
   // Returns false when there was nothing to do; a non-OK status (corrupt
   // or malformed incoming message, encode failure) must abort the run —
   // the worker's counters can no longer be trusted.
@@ -111,14 +121,6 @@ class Worker {
   // (the old per-tuple protocol). Set before Init().
   void set_block_tuples(int n) { block_tuples_ = n; }
 
-  // Skew-adaptive repartitioning: route and accept through a per-worker
-  // RemapView of `coordinator`'s managed function, sync override epochs
-  // at every Step and idle poll, and report busy windows after each
-  // processing round. Null (the default) disables rebalancing. Set
-  // before Init(); must be called after Create() because it rebuilds
-  // the router around the view.
-  void set_rebalance(RebalanceCoordinator* coordinator);
-
   // Observability: record phase spans (init/drain/probe/insert/encode/
   // flush/idle) and round instants on `ring`. The ring must be owned by
   // this worker's thread (the engine hands worker i ring i); it is also
@@ -130,8 +132,9 @@ class Worker {
   const WorkerStats& stats() const { return stats_; }
   const WorkerProfile& profile() const { return profile_; }
   const std::vector<RoundLog>& round_logs() const { return round_logs_; }
-  const Database& local_db() const { return local_db_; }
-  const CompiledProgram& compiled() const { return compiled_; }
+  // The t_out / t_in relations (decorated names), owned by the evaluator.
+  const Database& local_db() const { return eval_->db(); }
+  const CompiledProgram& compiled() const { return eval_->compiled(); }
 
   // The worker's t_out relation for original derived predicate `p`.
   const Relation& OutputRelation(Symbol p) const;
@@ -139,7 +142,8 @@ class Worker {
  private:
   Worker(const RewriteBundle* bundle, int id, const Database* edb,
          std::unordered_map<int, std::unique_ptr<Relation>> fragments,
-         CommNetwork* network, TerminationDetector* detector);
+         CommNetwork* network, TerminationDetector* detector,
+         RebalanceCoordinator* rebalance);
 
   Status Setup();
 
@@ -152,25 +156,26 @@ class Worker {
   // block's tuple count on success.
   StatusOr<size_t> IngestBlock(const TupleBlock& block, int from);
 
-  // Runs the delta variants of every processing rule over the current
-  // t_in deltas, then routes new t_out tuples.
-  void ProcessRound();
+  // Opens the log of a new round (round 0 is Init).
+  void BeginRoundLog(uint64_t received);
+  // Runs one evaluator batch and books it to the current round.
+  Status Evaluate();
 
-  // Applies the sending rules to `out`'s freshly derived rows
-  // [begin, end): gathers up to 256 rows out of the column store,
-  // computes their destinations with one RouteBatch call, and appends
-  // each row to its (destination, predicate) accumulation blocks. A
-  // block that reaches block_tuples_ flushes immediately; FlushSends()
-  // flushes the remainder at the end of the round.
-  void SendNewRows(Symbol pred, const Relation& out, size_t begin,
-                   size_t end);
+  // Routes every t_out's rows derived since the last call through the
+  // sending rules, then flushes the remaining blocks.
+  void SendOutputs();
+  // Applies the sending rules to rows [begin, end) of the t_out relation
+  // in `slot`: gathers up to 256 rows out of the column store, computes
+  // their destinations with one RouteBatch call, and appends each row to
+  // its (destination, predicate) accumulation blocks. A block that
+  // reaches block_tuples_ flushes immediately; FlushSends() flushes the
+  // remainder at the end of the round.
+  void SendNewRows(int slot, size_t begin, size_t end);
   // Ships one accumulated block as a single frame: one CountSend(n),
   // one lock acquisition, one sequence number — shared by the
   // shared-memory, serialized, and retransmit configurations.
   void FlushBlock(int dest, TupleBlock* block);
   void FlushSends();
-
-  void EnsureLocalIndexes();
 
   const RewriteBundle* bundle_;
   int id_;
@@ -178,64 +183,52 @@ class Worker {
   const Database* edb_;
   CommNetwork* network_;
   TerminationDetector* detector_;
+  RebalanceCoordinator* rebalance_;
+  // The rebalancer's per-worker view of the managed function; it checks
+  // the hash constraints and drives routing when rebalancing is on.
+  std::unique_ptr<RemapView> remap_view_;
 
-  const Program* local_program_;  // bundle_->per_processor[id_]
-  CompiledProgram compiled_;
-
-  Database local_db_;  // holds t_out / t_in relations (decorated names)
-  // Base fragments keyed by occurrence index (see RewriteBundle).
+  // Local classification of Q_i: t_in predicates are fed by the
+  // channels, so the evaluator tracks them as derived.
+  ProgramInfo info_;
+  // Base fragments keyed by occurrence index (see RewriteBundle), and
+  // empty stand-ins for base predicates without facts. Both are bound
+  // occurrences of the evaluator.
   std::unordered_map<int, std::unique_ptr<Relation>> fragments_;
-  // Resolved data source for every (rule, body atom): local t_in
-  // relation, shared EDB relation, or fragment.
-  std::vector<std::vector<const Relation*>> body_sources_;
-
-  // Semi-naive watermarks.
-  std::unordered_map<Symbol, size_t> in_old_end_;   // by t_in symbol
-  std::unordered_map<Symbol, size_t> out_sent_end_; // by t_out symbol
+  Database empty_bases_;
+  std::optional<IncrementalEvaluator> eval_;
+  // The evaluator's t_in relations by original predicate: received
+  // blocks are appended here and become the next round's delta.
+  std::unordered_map<Symbol, Relation*> in_rels_;
+  // Per derived predicate, in bundle_->derived order (its "slot"): the
+  // evaluator's t_out relation and how much of it has been sent.
+  std::vector<const Relation*> out_rels_;
+  std::vector<size_t> out_sent_end_;
 
   // Precompiled sending rules (pattern checks + routing positions per
   // predicate; see core/routing.h), built once in Setup().
   TupleRouter router_;
-  // Hash-constraint + routing evaluator: the shared registry, or the
-  // rebalancer's per-worker view when set_rebalance was called.
-  const ConstraintEvaluator* constraint_eval_ = nullptr;
-  RebalanceCoordinator* rebalance_ = nullptr;
-  std::unique_ptr<RemapView> remap_view_;
-  // One buffered inserter per head (t_out) relation: rule firings
-  // batch through Relation::InsertBlock instead of one dedup probe
-  // per firing. Flushed after every Execute call, before anything
-  // reads the relation's size. Built in Setup().
-  std::unordered_map<Symbol, BatchInserter> head_inserters_;
   std::vector<int> dests_;              // scratch for SendNewRows
   std::vector<uint32_t> route_offsets_; // per-row dest ranges into dests_
   std::vector<Value> send_rows_;        // row-major gather buffer
-  JoinScratch join_scratch_;
   WorkerStats stats_;
   TraceRing* trace_ = nullptr;  // optional per-worker trace ring
   WorkerProfile profile_;       // recorded only when trace_ is set
   std::vector<RoundLog> round_logs_;
-  RoundLog* current_log_ = nullptr;  // active during Init/ProcessRound
-  uint64_t pending_received_ = 0;    // drained since the last round started
   bool serialize_messages_ = false;
   bool retransmit_ = false;
   int block_tuples_ = 256;  // flush threshold (see set_block_tuples)
-  // First send-side failure (encode error); SendTuple runs deep inside
-  // the join callbacks, so the error is latched here and surfaced by the
-  // next Step()/Init() return.
+  // First send-side failure (encode error). A block can flush deep
+  // inside SendNewRows, so the error is latched here and surfaced by
+  // the next Step()/Init() return.
   Status send_status_;
   std::vector<std::vector<uint8_t>> byte_buffer_;  // scratch for drains
   std::vector<TupleBlock> block_buffer_;           // scratch for drains
   TupleBlock decode_block_;  // reusable decode target (serialized mode)
-  // Outgoing accumulation blocks, indexed [dest * num_derived + slot]
-  // where slot is the predicate's position in bundle_->derived. Blocks
-  // keep their buffer capacity across rounds.
+  // Outgoing accumulation blocks, indexed [dest * num_derived + slot].
+  // Blocks keep their buffer capacity across rounds.
   std::vector<TupleBlock> send_blocks_;
   int num_derived_ = 0;
-  std::unordered_map<Symbol, int> pred_slot_;  // derived pred -> slot
-  // Memoized slot lookup: derivations arrive predicate-by-predicate, so
-  // the previous SendTuple's slot almost always answers the next one.
-  Symbol last_pred_ = kInvalidSymbol;
-  int last_slot_ = 0;
 };
 
 }  // namespace pdatalog

@@ -47,6 +47,7 @@ Status NaiveEvaluate(const Program& program, const ProgramInfo& info,
 
   stats->firings += exec_stats.firings;
   stats->rows_examined += exec_stats.rows_examined;
+  stats->batch_fallbacks += exec_stats.batch_fallbacks;
   return Status::Ok();
 }
 

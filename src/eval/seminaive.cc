@@ -12,7 +12,7 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
                                                    const EvalOptions& options) {
   CompiledProgram out;
   for (const Rule& rule : program.rules) {
-    RuleVariants variants{CompiledRule{}, {}, false};
+    RuleVariants variants{CompiledRule{}, {}};
     StatusOr<CompiledRule> full =
         CompiledRule::Compile(rule, -1, options.greedy_join_order);
     if (!full.ok()) return full.status();
@@ -20,7 +20,6 @@ StatusOr<CompiledProgram> CompiledProgram::Compile(const Program& program,
 
     for (size_t i = 0; i < rule.body.size(); ++i) {
       if (!info.IsDerived(rule.body[i].predicate)) continue;
-      variants.has_derived_body = true;
       StatusOr<CompiledRule> delta = CompiledRule::Compile(
           rule, static_cast<int>(i), options.greedy_join_order);
       if (!delta.ok()) return delta.status();
@@ -61,6 +60,7 @@ Status EvaluateBatch(const Program& program, const ProgramInfo& info,
   stats->firings += batch->firings;
   stats->tuples_inserted += batch->tuples_inserted;
   stats->rows_examined += batch->rows_examined;
+  stats->batch_fallbacks += batch->batch_fallbacks;
   return Status::Ok();
 }
 

@@ -38,6 +38,8 @@ struct EvalStats {
   // Distinct tuples added to derived relations.
   uint64_t tuples_inserted = 0;
   uint64_t rows_examined = 0;
+  // Multi-step joins the batch kernel could not cover (ExecStats).
+  uint64_t batch_fallbacks = 0;
 };
 
 // A program compiled for (semi-)naive evaluation: for every rule, a
@@ -49,7 +51,6 @@ class CompiledProgram {
     // (body index of the delta atom, compiled variant with that atom
     // joined first).
     std::vector<std::pair<int, CompiledRule>> deltas;
-    bool has_derived_body = false;
   };
 
   static StatusOr<CompiledProgram> Compile(const Program& program,

@@ -1,5 +1,6 @@
 #include "cli/driver.h"
 
+#include <fstream>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -93,6 +94,28 @@ TEST(CliRunTest, SequentialReport) {
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_NE(report->find("sequential semi-naive"), std::string::npos);
   EXPECT_NE(report->find("anc: 6 tuples"), std::string::npos);
+}
+
+TEST(CliRunTest, SequentialMetricsExportBatchFallbacks) {
+  // The three-atom recursive rule cannot run on the scan->probe batch
+  // kernel, so every run of it is a fallback the export must report.
+  const std::string path = testing::TempDir() + "seq-metrics.json";
+  StatusOr<CliOptions> options =
+      ParseCliArgs({"--mode=seq", "--metrics=" + path, "p.dl"});
+  ASSERT_TRUE(options.ok());
+  StatusOr<std::string> report = RunCli(
+      *options,
+      "up(a, b).  up(c, d).  flat(b, d).  down(d, e).  down(b, f).\n"
+      "sg(X, Y) :- flat(X, Y).\n"
+      "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  std::ifstream in(path);
+  std::stringstream json;
+  json << in.rdbuf();
+  const std::string key = "\"eval.batch_fallbacks\": ";
+  size_t at = json.str().find(key);
+  ASSERT_NE(at, std::string::npos) << json.str();
+  EXPECT_GT(std::stoull(json.str().substr(at + key.size())), 0u);
 }
 
 TEST(CliRunTest, NaiveReport) {
