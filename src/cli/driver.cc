@@ -1,10 +1,15 @@
 #include "cli/driver.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <functional>
 #include <istream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <ostream>
+#include <sstream>
+#include <type_traits>
 
 #include "core/advisor.h"
 #include "core/report.h"
@@ -31,28 +36,224 @@ namespace pdatalog {
 
 namespace {
 
-bool ConsumePrefix(const std::string& arg, const char* prefix,
-                   std::string* rest) {
-  std::string p(prefix);
-  if (arg.rfind(p, 0) != 0) return false;
-  *rest = arg.substr(p.size());
+using Mode = CliOptions::Mode;
+using Scheme = CliOptions::Scheme;
+
+constexpr double kUnbounded = std::numeric_limits<double>::infinity();
+
+// Strict number parser: the whole value must parse as a finite T in
+// [lo, hi], so "4x", "abc", "1e3" for an integer, and overflow all fail.
+template <typename T>
+Status ParseNumber(const std::string& text, T lo, T hi, T* out) {
+  T value{};
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || stop != end || !(value >= lo && value <= hi) ||
+      !std::isfinite(static_cast<double>(value))) {
+    std::ostringstream range;
+    range << "expects a number in [" << lo << ", " << hi
+          << (std::isinf(static_cast<double>(hi)) ? ")" : "]");
+    return Status::InvalidArgument(range.str());
+  }
+  *out = value;
+  return Status::Ok();
+}
+
+// Splits "KEY:VALUE" at the first ':'; both sides must be non-empty.
+bool SplitPair(const std::string& item, std::string* key,
+               std::string* value) {
+  const size_t colon = item.find(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == item.size()) {
+    return false;
+  }
+  *key = item.substr(0, colon);
+  *value = item.substr(colon + 1);
   return true;
 }
 
+// Splits "K:V,K:V,..." into pairs with SplitPair.
+bool SplitPairs(const std::string& text,
+                std::vector<std::pair<std::string, std::string>>* pairs) {
+  size_t pos = 0;
+  while (true) {
+    const size_t comma = text.find(',', pos);
+    std::string key;
+    std::string value;
+    if (!SplitPair(text.substr(pos, comma - pos), &key, &value)) return false;
+    pairs->emplace_back(std::move(key), std::move(value));
+    if (comma == std::string::npos) return true;
+    pos = comma + 1;
+  }
+}
+
+// Parses a flag's value into CliOptions; the value is never empty.
+using Setter = std::function<Status(const std::string& value, CliOptions* o)>;
+
+Setter Text(std::string CliOptions::*field) {
+  return [field](const std::string& v, CliOptions* o) {
+    o->*field = v;
+    return Status::Ok();
+  };
+}
+
+template <typename T>
+Setter Number(T CliOptions::*field, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi) {
+  return [=](const std::string& v, CliOptions* o) {
+    return ParseNumber(v, lo, hi, &(o->*field));
+  };
+}
+
+template <typename E>
+Setter Names(E CliOptions::*field,
+             std::vector<std::pair<std::string, E>> names) {
+  return [=](const std::string& v, CliOptions* o) {
+    for (const auto& [name, value] : names) {
+      if (v != name) continue;
+      o->*field = value;
+      return Status::Ok();
+    }
+    return Status::InvalidArgument("expects one of the names shown");
+  };
+}
+
+// A u64 in decimal, or in hex after a 0x prefix.
+Status SetSeed(const std::string& text, CliOptions* o) {
+  const bool hex = text.size() > 2 && text[0] == '0' &&
+                   (text[1] == 'x' || text[1] == 'X');
+  const char* end = text.data() + text.size();
+  auto [stop, ec] = std::from_chars(text.data() + (hex ? 2 : 0), end,
+                                    o->seed, hex ? 16 : 10);
+  if (ec == std::errc() && stop == end) return Status::Ok();
+  return Status::InvalidArgument("expects a decimal or 0x-hex u64");
+}
+
+Status SetFacts(const std::string& text, CliOptions* o) {
+  std::string pred;
+  std::string path;
+  if (!SplitPair(text, &pred, &path)) {
+    return Status::InvalidArgument("expects PRED:FILE");
+  }
+  o->fact_files.emplace_back(pred, path);
+  return Status::Ok();
+}
+
+Status SetVars(const std::string& text, CliOptions* o) {
+  std::vector<std::pair<std::string, std::string>> items;
+  if (!SplitPairs(text, &items)) {
+    return Status::InvalidArgument("expects IDX:VAR items");
+  }
+  for (const auto& [index, var] : items) {
+    int rule = 0;
+    PDATALOG_RETURN_IF_ERROR(
+        ParseNumber(index, 0, std::numeric_limits<int>::max(), &rule));
+    o->rule_vars.emplace_back(rule, var);
+  }
+  return Status::Ok();
+}
+
+Status SetFaults(const std::string& text, CliOptions* o) {
+  std::vector<std::pair<std::string, std::string>> items;
+  if (!SplitPairs(text, &items)) {
+    return Status::InvalidArgument("items must look like drop:0.1");
+  }
+  FaultSpec& f = o->faults;
+  for (const auto& [key, value] : items) {
+    if (key == "polls") {
+      PDATALOG_RETURN_IF_ERROR(ParseNumber(value, 0, 1 << 20, &f.delay_polls));
+      continue;
+    }
+    double* probability = key == "drop"                      ? &f.drop
+                          : key == "dup" || key == "duplicate" ? &f.duplicate
+                          : key == "reorder"                  ? &f.reorder
+                          : key == "corrupt"                  ? &f.corrupt
+                          : key == "delay"                    ? &f.delay
+                                                              : nullptr;
+    if (probability == nullptr) {
+      return Status::InvalidArgument("unknown key '" + key + "'");
+    }
+    PDATALOG_RETURN_IF_ERROR(ParseNumber(value, 0.0, 1.0, probability));
+  }
+  return Status::Ok();
+}
+
+// One command-line flag, written `--name`, `--name=VALUE`, or
+// `--name[=VALUE]`. `value` is the usage placeholder (nullptr for a
+// switch). `on` is the bool the bare flag sets; a flag with both `on`
+// and `value` takes its value optionally.
+struct Flag {
+  const char* name;
+  const char* value;
+  bool CliOptions::*on;
+  Setter set;
+};
+
+using O = CliOptions;
+
+// Every flag of the tool, in docs/cli.md order; the usage text is built
+// from this table and cli_test checks docs/cli.md against it.
+const Flag kFlags[] = {
+    {"program", "NAME", nullptr, Text(&O::builtin)},
+    {"list-programs", nullptr, &O::list_programs, nullptr},
+    {"facts", "PRED:FILE", nullptr, SetFacts},
+    {"mode", "seq|naive|par", nullptr,
+     Names(&O::mode, {{"seq", Mode::kSequential},
+                      {"naive", Mode::kNaive},
+                      {"par", Mode::kParallel}})},
+    {"stratified", nullptr, &O::stratified, nullptr},
+    {"processors", "N", nullptr, Number(&O::processors, 1, 1024)},
+    {"scheme", "auto|example1|example2|example3|general|tradeoff", nullptr,
+     Names(&O::scheme, {{"auto", Scheme::kAuto},
+                        {"example1", Scheme::kExample1},
+                        {"example2", Scheme::kExample2},
+                        {"example3", Scheme::kExample3},
+                        {"general", Scheme::kGeneral},
+                        {"tradeoff", Scheme::kTradeoff}})},
+    {"rho", "R", nullptr, Number(&O::rho, 0.0, 1.0)},
+    {"vars", "IDX:VAR[,IDX:VAR...]", nullptr, SetVars},
+    {"seed", "S", nullptr, SetSeed},
+    {"rebalance-skew", "R", nullptr, Number(&O::rebalance_skew, 1, kUnbounded)},
+    {"rebalance-buckets", "N", nullptr,
+     Number(&O::rebalance_buckets, 1, 65536)},
+    {"advise", nullptr, &O::advise, nullptr},
+    {"net", "C", nullptr, Number(&O::net_cost, 0, kUnbounded)},
+    {"explain", nullptr, &O::explain, nullptr},
+    {"print-programs", nullptr, &O::print_programs, nullptr},
+    {"block-tuples", "N", nullptr,
+     Number(&O::block_tuples, 1, static_cast<int>(kMaxBlockTuples))},
+    {"faults", "drop:P,dup:P,reorder:P,corrupt:P,delay:P,polls:N", nullptr,
+     SetFaults},
+    {"retransmit", nullptr, &O::retransmit, nullptr},
+    {"trace", "FILE", nullptr, Text(&O::trace_file)},
+    {"metrics", "FILE", nullptr, Text(&O::metrics_file)},
+    {"profile", "FILE", &O::profile, Text(&O::profile_file)},
+    // Each KiB holds 64 events; cap at 1 GiB per ring.
+    {"trace-ring-kb", "N", nullptr, Number(&O::trace_ring_kb, 1, 1 << 20)},
+    {"stats", nullptr, &O::print_stats, nullptr},
+    {"dump", "PRED", nullptr, Text(&O::dump_predicate)},
+    {"query", "ATOM", nullptr, Text(&O::query)},
+    {"interactive", nullptr, &O::interactive, nullptr},
+    {"save", "DIR", nullptr, Text(&O::save_directory)},
+    {"serve", "PORT", &O::serve, Number(&O::serve_port, 0, 65535)},
+    {"serve-batch", "N", nullptr, Number(&O::serve_batch, 1, 1 << 20)},
+    {"telemetry-port", "PORT", nullptr, Number(&O::telemetry_port, 0, 65535)},
+    {"slow-query-ms", "T", nullptr, Number(&O::slow_query_ms, 0, kUnbounded)},
+    {"health-queue", "N", nullptr,
+     Number(&O::health_queue, 0, std::numeric_limits<int64_t>::max())},
+    {"health-lag-ms", "T", nullptr, Number(&O::health_lag_ms, 0, kUnbounded)},
+};
+
+std::string FlagText(const Flag& flag) {
+  std::string text = std::string("--") + flag.name;
+  if (flag.value == nullptr) return text;
+  if (flag.on != nullptr) return text + "[=" + flag.value + "]";
+  return text + "=" + flag.value;
+}
+
 Status UsageError(const std::string& message) {
-  return Status::InvalidArgument(
-      message +
-      "\nusage: pdatalog [--mode=seq|naive|par] [--processors=N]"
-      " [--scheme=auto|example1|example2|example3|general|tradeoff]"
-      " [--rho=R] [--seed=S] [--dump=pred] [--facts=pred:file]"
-      " [--faults=drop:P,dup:P,reorder:P,corrupt:P,delay:P,polls:N]"
-      " [--retransmit] [--block-tuples=N]"
-      " [--rebalance-skew=R] [--rebalance-buckets=N]"
-      " [--trace=FILE] [--metrics=FILE] [--profile[=FILE]]"
-      " [--trace-ring-kb=N]"
-      " [--serve[=PORT]] [--serve-batch=N] [--telemetry-port=P]"
-      " [--slow-query-ms=T] [--health-queue=N] [--health-lag-ms=M]"
-      " [--program=name] [--print-programs] [--stats] [program.dl]");
+  std::string usage = "usage: pdatalog";
+  for (const Flag& flag : kFlags) usage += " [" + FlagText(flag) + "]";
+  return Status::InvalidArgument(message + "\n" + usage + " [program.dl]");
 }
 
 std::string U64(uint64_t v) { return std::to_string(v); }
@@ -68,8 +269,9 @@ size_t RingCapacity(const CliOptions& options) {
 // Picks default discriminating sequences for the general scheme: each
 // rule is keyed on the first variable of its first derived body atom
 // (the join variable in the common case), falling back to the first
-// head variable for exit rules.
-std::vector<GeneralRuleSpec> AutoGeneralSpecs(
+// head variable for exit rules. --vars overrides must name an existing
+// rule and a symbol of the program.
+StatusOr<std::vector<GeneralRuleSpec>> AutoGeneralSpecs(
     const Program& program, const ProgramInfo& info, int processors,
     uint64_t seed,
     const std::vector<std::pair<int, std::string>>& overrides) {
@@ -99,9 +301,17 @@ std::vector<GeneralRuleSpec> AutoGeneralSpecs(
     specs[r].h = DiscriminatingFunction::UniformHash(processors, seed);
   }
   for (const auto& [idx, name] : overrides) {
-    if (idx < 0 || idx >= static_cast<int>(specs.size())) continue;
+    if (idx < 0 || idx >= static_cast<int>(specs.size())) {
+      return Status::InvalidArgument(
+          "--vars: no rule " + std::to_string(idx) + " (the program has " +
+          std::to_string(specs.size()) + " rules)");
+    }
     Symbol sym = program.symbols->Lookup(name);
-    if (sym != kInvalidSymbol) specs[idx].vars = {sym};
+    if (sym == kInvalidSymbol) {
+      return Status::InvalidArgument("--vars: rule " + std::to_string(idx) +
+                                     ": the program has no variable " + name);
+    }
+    specs[idx].vars = {sym};
   }
   return specs;
 }
@@ -111,7 +321,6 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
                                     const ProgramInfo& info,
                                     const Database& edb,
                                     std::string* scheme_note) {
-  using Scheme = CliOptions::Scheme;
   const int P = options.processors;
   // Rebalancing moves hash buckets between workers mid-run, which a
   // fragmented base cannot follow; keep bases replicated instead.
@@ -144,11 +353,11 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
     case Scheme::kGeneral: {
       *scheme_note = "general scheme (Section 7), per-rule hash on the "
                      "first derived-atom variable";
-      return RewriteGeneral(
-          program, info, P,
-          AutoGeneralSpecs(program, info, P, options.seed,
-                           options.rule_vars),
-          /*fragment_bases=*/!rebalancing);
+      StatusOr<std::vector<GeneralRuleSpec>> specs = AutoGeneralSpecs(
+          program, info, P, options.seed, options.rule_vars);
+      if (!specs.ok()) return specs.status();
+      return RewriteGeneral(program, info, P, *specs,
+                            /*fragment_bases=*/!rebalancing);
     }
     case Scheme::kExample1: {
       if (!sirup.ok()) return sirup.status();
@@ -220,219 +429,345 @@ StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
   return Status::Internal("unhandled scheme");
 }
 
+// The program text: a built-in program's rules followed by `source`.
+StatusOr<std::string> ProgramSource(const CliOptions& options,
+                                    const std::string& source) {
+  if (options.builtin.empty()) return source;
+  StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
+  if (!builtin.ok()) return builtin.status();
+  return builtin->source + source;
+}
+
+// A loaded program and the one database every mode evaluates into: the
+// base relations, joined by the derived relations of the least model.
+struct Session {
+  SymbolTable symbols;
+  Program program;  // points into `symbols`
+  ProgramInfo info;
+  Database db;
+};
+
+// Source → parse → validate → program facts → --facts files.
+Status Load(const CliOptions& options, const std::string& source,
+            Session* s) {
+  StatusOr<std::string> text = ProgramSource(options, source);
+  if (!text.ok()) return text.status();
+  StatusOr<Program> program = ParseProgram(*text, &s->symbols);
+  if (!program.ok()) return program.status();
+  s->program = std::move(*program);
+  PDATALOG_RETURN_IF_ERROR(Validate(s->program, &s->info));
+  PDATALOG_RETURN_IF_ERROR(s->db.LoadFacts(s->program));
+  for (const auto& [pred, path] : options.fact_files) {
+    StatusOr<size_t> loaded =
+        LoadFactsFromFile(path, pred, &s->symbols, &s->db);
+    if (!loaded.ok()) return loaded.status();
+  }
+  return Status::Ok();
+}
+
+Status Explain(const Session& s, std::string* out) {
+  StatusOr<CompiledProgram> compiled =
+      CompiledProgram::Compile(s.program, s.info);
+  if (!compiled.ok()) return compiled.status();
+  for (size_t r = 0; r < s.program.rules.size(); ++r) {
+    const auto& variants = compiled->rules()[r];
+    *out += "rule " + std::to_string(r) + " (full):\n";
+    *out += variants.full.DebugString(s.symbols);
+    for (const auto& [delta_idx, delta_rule] : variants.deltas) {
+      *out += "rule " + std::to_string(r) + " (delta on body atom " +
+              std::to_string(delta_idx) + "):\n";
+      *out += delta_rule.DebugString(s.symbols);
+    }
+  }
+  return Status::Ok();
+}
+
+Status Advise(const CliOptions& options, Session* s, std::string* out) {
+  StatusOr<LinearSirup> sirup = ExtractLinearSirup(s->program, s->info);
+  if (!sirup.ok()) return sirup.status();
+  AdvisorOptions aopts;
+  aopts.num_processors = options.processors;
+  aopts.seed = options.seed;
+  aopts.cost = CostParams{1.0, options.net_cost, 0.0};
+  aopts.tradeoff_rhos = {0.5, 1.0};
+  StatusOr<AdvisorReport> report =
+      AdviseScheme(s->program, s->info, *sirup, &s->db, aopts);
+  if (!report.ok()) return report.status();
+  *out += "scheme advice (net/cpu cost ratio " +
+          TextTable::Cell(options.net_cost, 2) + ", " +
+          std::to_string(options.processors) + " processors):\n";
+  *out += report->ToString();
+  *out += "advice: " + report->best().name + " — " +
+          report->best().description + "\n";
+  return Status::Ok();
+}
+
+// What an evaluation hands the report besides the database.
+struct Run {
+  std::unique_ptr<Tracer> tracer;  // --trace or --profile
+  MetricsRegistry metrics;         // sequential modes
+  // --mode=par; its `output` has moved into the session database.
+  std::optional<ParallelResult> parallel;
+};
+
+Status EvaluateSequential(const CliOptions& options, Session* s, Run* run,
+                          std::string* out) {
+  Stopwatch watch;
+  EvalStats stats;
+  if (options.mode == Mode::kSequential) {
+    EvalOptions eopts;
+    eopts.stratified = options.stratified;
+    if (run->tracer != nullptr) eopts.trace = run->tracer->ring(0);
+    PDATALOG_RETURN_IF_ERROR(
+        SemiNaiveEvaluate(s->program, s->info, &s->db, &stats, eopts));
+    *out += options.stratified ? "mode: sequential semi-naive (stratified)\n"
+                               : "mode: sequential semi-naive\n";
+  } else {
+    PDATALOG_RETURN_IF_ERROR(
+        NaiveEvaluate(s->program, s->info, &s->db, &stats));
+    *out += "mode: sequential naive\n";
+  }
+  const double wall_seconds = watch.ElapsedSeconds();
+  *out += "firings: " + U64(stats.firings) +
+          ", tuples: " + U64(stats.tuples_inserted) +
+          ", rounds: " + std::to_string(stats.rounds) + ", " +
+          TextTable::Cell(wall_seconds * 1e3, 2) + " ms\n";
+  MetricsRegistry& m = run->metrics;
+  m.AddCounter("eval.rounds", static_cast<uint64_t>(stats.rounds));
+  m.AddCounter("eval.firings", stats.firings);
+  m.AddCounter("eval.tuples_inserted", stats.tuples_inserted);
+  m.AddCounter("eval.rows_examined", stats.rows_examined);
+  m.AddCounter("eval.batch_fallbacks", stats.batch_fallbacks);
+  m.SetGauge("run.wall_seconds", wall_seconds);
+  return Status::Ok();
+}
+
+Status EvaluateParallel(const CliOptions& options, Session* s, Run* run,
+                        std::string* out) {
+  std::string scheme_note;
+  StatusOr<RewriteBundle> bundle =
+      BuildBundle(options, s->program, s->info, s->db, &scheme_note);
+  if (!bundle.ok()) return bundle.status();
+
+  *out += "mode: parallel, " + std::to_string(options.processors) +
+          " processors\nscheme: " + scheme_note + "\n";
+  if (options.print_programs) {
+    for (int i = 0; i < bundle->num_processors; ++i) {
+      *out += "-- processor " + std::to_string(i) + " --\n";
+      *out += ToString(bundle->per_processor[i]);
+    }
+  }
+
+  ParallelOptions popts;
+  popts.faults = options.faults;
+  popts.faults.seed = options.seed;
+  popts.retransmit = options.retransmit;
+  popts.block_tuples = options.block_tuples;
+  // Corruption flips wire bytes, so it needs the serialized channels.
+  if (popts.faults.corrupt > 0) popts.serialize_messages = true;
+  popts.rebalance.skew_threshold = options.rebalance_skew;
+  popts.rebalance.buckets_per_processor =
+      static_cast<uint32_t>(options.rebalance_buckets);
+  popts.rebalance.net_per_message = options.net_cost;
+  popts.tracer = run->tracer.get();
+  StatusOr<ParallelResult> result = RunParallel(*bundle, &s->db, popts);
+  if (!result.ok()) return result.status();
+
+  *out += "firings: " + U64(result->total_firings) +
+          ", output tuples: " + U64(result->pooled_tuples) +
+          ", cross messages: " + U64(result->cross_tuples) + " in " +
+          U64(result->cross_frames) + " frames (" +
+          U64(result->cross_bytes) + " bytes)" +
+          ", self-routed: " + U64(result->self_tuples) + ", " +
+          TextTable::Cell(result->wall_seconds * 1e3, 2) + " ms\n";
+  if (result->faults.any()) {
+    *out += "faults injected: dropped " + U64(result->faults.dropped) +
+            ", duplicated " + U64(result->faults.duplicated) +
+            ", reordered " + U64(result->faults.reordered) +
+            ", corrupted " + U64(result->faults.corrupted) + ", delayed " +
+            U64(result->faults.delayed) + "; retransmitted " +
+            U64(result->faults.retransmitted) + "\n";
+  }
+  if (options.rebalance_skew > 0.0) {
+    *out += "rebalance: " +
+            U64(result->metrics.counter("rebalance.moves")) + " moves, " +
+            U64(result->metrics.counter("rebalance.replications")) +
+            " replications in " +
+            U64(result->metrics.counter("rebalance.rounds")) + " epochs (" +
+            U64(result->metrics.counter("rebalance.windows")) +
+            " windows observed)\n";
+  }
+  // RunParallel writes no derived predicate into its input database, and
+  // Validate forbids facts on head predicates, so the pooled relations
+  // join the base relations without a collision or a copy.
+  PDATALOG_RETURN_IF_ERROR(s->db.Absorb(std::move(result->output)));
+  run->parallel = std::move(*result);
+  return Status::Ok();
+}
+
+// Writes the --trace and --metrics files, counting the trace's events
+// in `metrics`. Shared by the one-shot report and the serving mode.
+Status ExportTraceAndMetrics(const CliOptions& options, const Tracer* tracer,
+                             MetricsRegistry* metrics, std::string* out) {
+  if (tracer != nullptr) {
+    metrics->AddCounter("trace.events", tracer->total_events());
+    metrics->AddCounter("trace.dropped", tracer->total_dropped());
+    if (!options.trace_file.empty()) {
+      PDATALOG_RETURN_IF_ERROR(WriteChromeTrace(*tracer, options.trace_file));
+      *out += "trace: " + U64(tracer->total_events()) + " events (" +
+              U64(tracer->total_dropped()) + " dropped) -> " +
+              options.trace_file + "\n";
+    }
+    if (tracer->total_dropped() > 0) {
+      *out += TraceDropWarning(tracer->total_dropped());
+    }
+  }
+  if (!options.metrics_file.empty()) {
+    PDATALOG_RETURN_IF_ERROR(WriteMetricsJson(*metrics, options.metrics_file));
+    *out += "metrics: " + std::to_string(metrics->size()) + " metrics -> " +
+            options.metrics_file + "\n";
+  }
+  return Status::Ok();
+}
+
+// The report every mode shares: derived relation sizes, then the trace,
+// metrics, --stats, profile, save, dump and query outputs.
+Status Report(const CliOptions& options, Session* s, Run* run,
+              std::string* out) {
+  for (Symbol p : s->info.predicates) {
+    if (!s->info.IsDerived(p)) continue;
+    *out += "  " + s->symbols.Name(p) + ": " +
+            std::to_string(s->db.Find(p)->size()) + " tuples\n";
+  }
+  Tracer* tracer = run->tracer.get();
+  PDATALOG_RETURN_IF_ERROR(ExportTraceAndMetrics(
+      options, tracer,
+      run->parallel ? &run->parallel->metrics : &run->metrics, out));
+  if (options.print_stats && run->parallel) {
+    ReportOptions ropts;
+    ropts.totals = false;
+    ropts.channel_matrix = true;
+    *out += RenderReport(*run->parallel, ropts);
+    *out += RenderBspTimeline(*run->parallel, 1.0, options.net_cost);
+  }
+  if (options.profile && tracer != nullptr) {
+    ProfileReport prof = AnalyzeRun(
+        *tracer, run->parallel ? MakeProfileContext(*run->parallel)
+                               : ProfileContext{});
+    *out += prof.ToText();
+    if (!options.profile_file.empty()) {
+      PDATALOG_RETURN_IF_ERROR(WriteProfileJson(prof, options.profile_file));
+      *out += "profile: -> " + options.profile_file + "\n";
+    }
+  }
+  if (!options.save_directory.empty()) {
+    StatusOr<size_t> saved =
+        SaveDatabase(s->db, s->symbols, options.save_directory);
+    if (!saved.ok()) return saved.status();
+    *out += "saved " + std::to_string(*saved) + " relations to " +
+            options.save_directory + "\n";
+  }
+  if (!options.dump_predicate.empty()) {
+    Symbol pred = s->symbols.Lookup(options.dump_predicate);
+    const Relation* rel = pred == kInvalidSymbol ? nullptr : s->db.Find(pred);
+    *out += options.dump_predicate + ":\n";
+    *out += rel == nullptr ? std::string("  (no such relation)\n")
+                           : rel->ToSortedString(s->symbols);
+  }
+  // --query, then the program's embedded `?- atom.` directives.
+  std::vector<std::string> queries;
+  if (!options.query.empty()) queries.push_back(options.query);
+  for (const Atom& query : s->program.queries) {
+    queries.push_back(ToString(query, s->symbols));
+  }
+  for (const std::string& query : queries) {
+    StatusOr<QueryResult> answer = EvaluateQuery(query, &s->symbols, s->db);
+    if (!answer.ok()) return answer.status();
+    *out += "?- " + query + "\n";
+    *out += answer->ToString(s->symbols);
+  }
+  return Status::Ok();
+}
+
+// Load → evaluate by mode → report, the one path behind RunCli and
+// RunInteractive. Leaves the least model in `session->db`, except under
+// --explain and --advise, which stop before evaluation.
+Status RunPipeline(const CliOptions& options, const std::string& source,
+                   Session* session, std::string* out) {
+  PDATALOG_RETURN_IF_ERROR(Load(options, source, session));
+  *out += "program: " + std::to_string(session->program.rules.size()) +
+          " rules, " + std::to_string(session->program.facts.size()) +
+          " facts, " + std::to_string(session->info.derived.size()) +
+          " derived predicates\n";
+  if (options.explain) return Explain(*session, out);
+  if (options.advise) return Advise(options, session, out);
+
+  const bool parallel = options.mode == Mode::kParallel;
+  Run run;
+  // --profile implies tracing even without a --trace file.
+  if (!options.trace_file.empty() || options.profile) {
+    run.tracer = std::make_unique<Tracer>(parallel ? options.processors : 1,
+                                          RingCapacity(options));
+  }
+  PDATALOG_RETURN_IF_ERROR(parallel
+                               ? EvaluateParallel(options, session, &run, out)
+                               : EvaluateSequential(options, session, &run,
+                                                    out));
+  return Report(options, session, &run, out);
+}
+
+const Flag* FindFlag(const std::string& name) {
+  for (const Flag& flag : kFlags) {
+    if (name == flag.name) return &flag;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 StatusOr<CliOptions> ParseCliArgs(const std::vector<std::string>& args) {
   CliOptions options;
-  std::string rest;
   for (const std::string& arg : args) {
-    if (ConsumePrefix(arg, "--mode=", &rest)) {
-      if (rest == "seq") {
-        options.mode = CliOptions::Mode::kSequential;
-      } else if (rest == "naive") {
-        options.mode = CliOptions::Mode::kNaive;
-      } else if (rest == "par") {
-        options.mode = CliOptions::Mode::kParallel;
-      } else {
-        return UsageError("unknown mode '" + rest + "'");
+    if (arg.rfind("--", 0) != 0) {
+      if (!arg.empty() && arg[0] == '-') {
+        return UsageError("unknown flag '" + arg + "'");
       }
-    } else if (ConsumePrefix(arg, "--processors=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > 1024) {
-        return UsageError("processors must be in [1, 1024]");
+      if (!options.program_path.empty()) {
+        return UsageError("multiple program files given");
       }
-      options.processors = value;
-    } else if (ConsumePrefix(arg, "--scheme=", &rest)) {
-      if (rest == "auto") {
-        options.scheme = CliOptions::Scheme::kAuto;
-      } else if (rest == "example1") {
-        options.scheme = CliOptions::Scheme::kExample1;
-      } else if (rest == "example2") {
-        options.scheme = CliOptions::Scheme::kExample2;
-      } else if (rest == "example3") {
-        options.scheme = CliOptions::Scheme::kExample3;
-      } else if (rest == "general") {
-        options.scheme = CliOptions::Scheme::kGeneral;
-      } else if (rest == "tradeoff") {
-        options.scheme = CliOptions::Scheme::kTradeoff;
-      } else {
-        return UsageError("unknown scheme '" + rest + "'");
-      }
-    } else if (ConsumePrefix(arg, "--vars=", &rest)) {
-      size_t pos = 0;
-      while (pos < rest.size()) {
-        size_t comma = rest.find(',', pos);
-        std::string item = rest.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        size_t colon = item.find(':');
-        if (colon == std::string::npos || colon == 0 ||
-            colon + 1 >= item.size()) {
-          return UsageError("--vars expects IDX:VAR[,IDX:VAR...]");
-        }
-        options.rule_vars.emplace_back(std::atoi(item.substr(0, colon).c_str()),
-                                       item.substr(colon + 1));
-        pos = comma == std::string::npos ? rest.size() : comma + 1;
-      }
-    } else if (ConsumePrefix(arg, "--rho=", &rest)) {
-      options.rho = std::atof(rest.c_str());
-      if (options.rho < 0.0 || options.rho > 1.0) {
-        return UsageError("rho must be in [0, 1]");
-      }
-    } else if (ConsumePrefix(arg, "--seed=", &rest)) {
-      options.seed = std::strtoull(rest.c_str(), nullptr, 0);
-    } else if (ConsumePrefix(arg, "--dump=", &rest)) {
-      options.dump_predicate = rest;
-    } else if (ConsumePrefix(arg, "--query=", &rest)) {
-      options.query = rest;
-    } else if (ConsumePrefix(arg, "--save=", &rest)) {
-      options.save_directory = rest;
-    } else if (ConsumePrefix(arg, "--program=", &rest)) {
-      options.builtin = rest;
-    } else if (ConsumePrefix(arg, "--facts=", &rest)) {
-      size_t colon = rest.find(':');
-      if (colon == std::string::npos || colon == 0 ||
-          colon + 1 >= rest.size()) {
-        return UsageError("--facts expects pred:file");
-      }
-      options.fact_files.emplace_back(rest.substr(0, colon),
-                                      rest.substr(colon + 1));
-    } else if (ConsumePrefix(arg, "--faults=", &rest)) {
-      size_t pos = 0;
-      while (pos < rest.size()) {
-        size_t comma = rest.find(',', pos);
-        std::string item = rest.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        size_t colon = item.find(':');
-        if (colon == std::string::npos || colon + 1 >= item.size()) {
-          return UsageError("--faults items must look like drop:0.1");
-        }
-        std::string key = item.substr(0, colon);
-        std::string value = item.substr(colon + 1);
-        if (key == "drop") {
-          options.faults.drop = std::atof(value.c_str());
-        } else if (key == "dup" || key == "duplicate") {
-          options.faults.duplicate = std::atof(value.c_str());
-        } else if (key == "reorder") {
-          options.faults.reorder = std::atof(value.c_str());
-        } else if (key == "corrupt") {
-          options.faults.corrupt = std::atof(value.c_str());
-        } else if (key == "delay") {
-          options.faults.delay = std::atof(value.c_str());
-        } else if (key == "polls") {
-          options.faults.delay_polls = std::atoi(value.c_str());
-        } else {
-          return UsageError("unknown --faults key '" + key + "'");
-        }
-        pos = comma == std::string::npos ? rest.size() : comma + 1;
-      }
-    } else if (ConsumePrefix(arg, "--rebalance-skew=", &rest)) {
-      options.rebalance_skew = std::atof(rest.c_str());
-      if (options.rebalance_skew < 1.0) {
-        return UsageError("rebalance-skew must be >= 1 (max/mean busy)");
-      }
-    } else if (ConsumePrefix(arg, "--rebalance-buckets=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > 65536) {
-        return UsageError("rebalance-buckets must be in [1, 65536]");
-      }
-      options.rebalance_buckets = value;
-    } else if (ConsumePrefix(arg, "--block-tuples=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || static_cast<uint32_t>(value) > kMaxBlockTuples) {
-        return UsageError("block-tuples must be in [1, " +
-                          std::to_string(kMaxBlockTuples) + "]");
-      }
-      options.block_tuples = value;
-    } else if (ConsumePrefix(arg, "--trace=", &rest)) {
-      if (rest.empty()) return UsageError("--trace needs a file path");
-      options.trace_file = rest;
-    } else if (ConsumePrefix(arg, "--metrics=", &rest)) {
-      if (rest.empty()) return UsageError("--metrics needs a file path");
-      options.metrics_file = rest;
-    } else if (arg == "--profile") {
-      options.profile = true;
-    } else if (ConsumePrefix(arg, "--profile=", &rest)) {
-      if (rest.empty()) return UsageError("--profile needs a file path");
-      options.profile = true;
-      options.profile_file = rest;
-    } else if (ConsumePrefix(arg, "--trace-ring-kb=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      // Each KiB holds 64 events; cap at 1 GiB per ring.
-      if (value < 1 || value > (1 << 20)) {
-        return UsageError("trace-ring-kb must be in [1, 1048576]");
-      }
-      options.trace_ring_kb = value;
-    } else if (arg == "--retransmit") {
-      options.retransmit = true;
-    } else if (arg == "--advise") {
-      options.advise = true;
-    } else if (arg == "--interactive") {
-      options.interactive = true;
-    } else if (arg == "--serve") {
-      options.serve = true;
-    } else if (ConsumePrefix(arg, "--serve=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 0 || value > 65535 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("--serve port must be in [0, 65535]");
-      }
-      options.serve = true;
-      options.serve_port = value;
-    } else if (ConsumePrefix(arg, "--serve-batch=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (value < 1 || value > (1 << 20)) {
-        return UsageError("serve-batch must be in [1, 1048576]");
-      }
-      options.serve_batch = value;
-    } else if (ConsumePrefix(arg, "--telemetry-port=", &rest)) {
-      int value = std::atoi(rest.c_str());
-      if (rest.empty() || value < 0 || value > 65535 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("--telemetry-port must be in [0, 65535]");
-      }
-      options.telemetry_port = value;
-    } else if (ConsumePrefix(arg, "--slow-query-ms=", &rest)) {
-      options.slow_query_ms = std::atof(rest.c_str());
-      if (options.slow_query_ms < 0) {
-        return UsageError("slow-query-ms must be >= 0");
-      }
-    } else if (ConsumePrefix(arg, "--health-queue=", &rest)) {
-      long long value = std::atoll(rest.c_str());
-      if (rest.empty() || value < 0 ||
-          rest.find_first_not_of("0123456789") != std::string::npos) {
-        return UsageError("health-queue must be a non-negative integer");
-      }
-      options.health_queue = value;
-    } else if (ConsumePrefix(arg, "--health-lag-ms=", &rest)) {
-      options.health_lag_ms = std::atof(rest.c_str());
-      if (options.health_lag_ms < 0) {
-        return UsageError("health-lag-ms must be >= 0");
-      }
-    } else if (arg == "--list-programs") {
-      options.list_programs = true;
-    } else if (arg == "--explain") {
-      options.explain = true;
-    } else if (arg == "--stratified") {
-      options.stratified = true;
-    } else if (ConsumePrefix(arg, "--net=", &rest)) {
-      options.net_cost = std::atof(rest.c_str());
-      if (options.net_cost < 0) return UsageError("net cost must be >= 0");
-    } else if (arg == "--print-programs") {
-      options.print_programs = true;
-    } else if (arg == "--stats") {
-      options.print_stats = true;
-    } else if (!arg.empty() && arg[0] == '-') {
-      return UsageError("unknown flag '" + arg + "'");
-    } else if (options.program_path.empty()) {
       options.program_path = arg;
-    } else {
-      return UsageError("multiple program files given");
+      continue;
     }
+    const size_t eq = arg.find('=');
+    const Flag* flag = FindFlag(arg.substr(2, eq - 2));
+    if (flag == nullptr) return UsageError("unknown flag '" + arg + "'");
+    if (eq == std::string::npos) {
+      if (flag->on == nullptr) {
+        return UsageError(FlagText(*flag) + " needs a value");
+      }
+      options.*flag->on = true;
+      continue;
+    }
+    const std::string value = arg.substr(eq + 1);
+    if (flag->value == nullptr) {
+      return UsageError(FlagText(*flag) + " takes no value");
+    }
+    if (value.empty()) return UsageError(FlagText(*flag) + " needs a value");
+    Status status = flag->set(value, &options);
+    if (!status.ok()) {
+      return UsageError("bad value '" + value + "' for " + FlagText(*flag) +
+                        ": " + status.message());
+    }
+    if (flag->on != nullptr) options.*flag->on = true;
   }
   if (options.serve && options.interactive) {
     return UsageError("--serve and --interactive are exclusive");
+  }
+  if (options.interactive &&
+      (options.explain || options.advise || options.list_programs)) {
+    return UsageError(
+        "--interactive queries the evaluated database, which --explain, "
+        "--advise and --list-programs do not produce");
   }
   if (!options.serve &&
       (options.telemetry_port >= 0 || options.slow_query_ms > 0 ||
@@ -466,280 +801,9 @@ StatusOr<std::string> RunCli(const CliOptions& options,
     }
     return out;
   }
-
-  SymbolTable symbols;
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
-  StatusOr<Program> program = ParseProgram(effective_source, &symbols);
-  if (!program.ok()) return program.status();
-  ProgramInfo info;
-  PDATALOG_RETURN_IF_ERROR(Validate(*program, &info));
-
-  Database edb;
-  PDATALOG_RETURN_IF_ERROR(edb.LoadFacts(*program));
-  for (const auto& [pred, path] : options.fact_files) {
-    StatusOr<size_t> loaded =
-        LoadFactsFromFile(path, pred, &symbols, &edb);
-    if (!loaded.ok()) return loaded.status();
-  }
-
+  Session session;
   std::string out;
-  out += "program: " + std::to_string(program->rules.size()) + " rules, " +
-         std::to_string(program->facts.size()) + " facts, " +
-         std::to_string(info.derived.size()) + " derived predicates\n";
-
-  if (options.explain) {
-    StatusOr<CompiledProgram> compiled =
-        CompiledProgram::Compile(*program, info);
-    if (!compiled.ok()) return compiled.status();
-    for (size_t r = 0; r < program->rules.size(); ++r) {
-      const auto& variants = compiled->rules()[r];
-      out += "rule " + std::to_string(r) + " (full):\n";
-      out += variants.full.DebugString(symbols);
-      for (const auto& [delta_idx, delta_rule] : variants.deltas) {
-        out += "rule " + std::to_string(r) + " (delta on body atom " +
-               std::to_string(delta_idx) + "):\n";
-        out += delta_rule.DebugString(symbols);
-      }
-    }
-    return out;
-  }
-
-  auto dump_relation = [&](const Database& db) -> Status {
-    if (!options.dump_predicate.empty()) {
-      Symbol pred = symbols.Lookup(options.dump_predicate);
-      const Relation* rel =
-          pred == kInvalidSymbol ? nullptr : db.Find(pred);
-      out += options.dump_predicate + ":\n";
-      out += rel == nullptr ? std::string("  (no such relation)\n")
-                            : rel->ToSortedString(symbols);
-    }
-    if (!options.query.empty()) {
-      StatusOr<QueryResult> answer =
-          EvaluateQuery(options.query, &symbols, db);
-      if (!answer.ok()) return answer.status();
-      out += "?- " + options.query + "\n";
-      out += answer->ToString(symbols);
-    }
-    // Embedded `?- atom.` directives from the program text.
-    for (const Atom& query : program->queries) {
-      StatusOr<QueryResult> answer =
-          EvaluateQuery(ToString(query, symbols), &symbols, db);
-      if (!answer.ok()) return answer.status();
-      out += "?- " + ToString(query, symbols) + "\n";
-      out += answer->ToString(symbols);
-    }
-    return Status::Ok();
-  };
-
-  Stopwatch watch;
-  if (options.mode != CliOptions::Mode::kParallel) {
-    // Sequential tracer: one worker ring for the evaluator's thread.
-    // --profile implies tracing even without a --trace file.
-    std::unique_ptr<Tracer> tracer;
-    if (!options.trace_file.empty() || options.profile) {
-      tracer = std::make_unique<Tracer>(1, RingCapacity(options));
-    }
-    EvalStats stats;
-    if (options.mode == CliOptions::Mode::kSequential) {
-      EvalOptions eopts;
-      eopts.stratified = options.stratified;
-      if (tracer != nullptr) eopts.trace = tracer->ring(0);
-      PDATALOG_RETURN_IF_ERROR(
-          SemiNaiveEvaluate(*program, info, &edb, &stats, eopts));
-      out += options.stratified
-                 ? "mode: sequential semi-naive (stratified)\n"
-                 : "mode: sequential semi-naive\n";
-    } else {
-      PDATALOG_RETURN_IF_ERROR(NaiveEvaluate(*program, info, &edb, &stats));
-      out += "mode: sequential naive\n";
-    }
-    double wall_seconds = watch.ElapsedSeconds();
-    out += "firings: " + U64(stats.firings) +
-           ", tuples: " + U64(stats.tuples_inserted) +
-           ", rounds: " + std::to_string(stats.rounds) + ", " +
-           TextTable::Cell(wall_seconds * 1e3, 2) + " ms\n";
-    for (Symbol p : info.predicates) {
-      if (!info.IsDerived(p)) continue;
-      out += "  " + symbols.Name(p) + ": " +
-             std::to_string(edb.Find(p)->size()) + " tuples\n";
-    }
-    if (tracer != nullptr && !options.trace_file.empty()) {
-      PDATALOG_RETURN_IF_ERROR(
-          WriteChromeTrace(*tracer, options.trace_file));
-      out += "trace: " + U64(tracer->total_events()) + " events (" +
-             U64(tracer->total_dropped()) + " dropped) -> " +
-             options.trace_file + "\n";
-    }
-    if (tracer != nullptr && tracer->total_dropped() > 0) {
-      out += TraceDropWarning(tracer->total_dropped());
-    }
-    if (!options.metrics_file.empty()) {
-      MetricsRegistry m;
-      m.AddCounter("eval.rounds", static_cast<uint64_t>(stats.rounds));
-      m.AddCounter("eval.firings", stats.firings);
-      m.AddCounter("eval.tuples_inserted", stats.tuples_inserted);
-      m.AddCounter("eval.rows_examined", stats.rows_examined);
-      m.AddCounter("eval.batch_fallbacks", stats.batch_fallbacks);
-      if (tracer != nullptr) {
-        m.AddCounter("trace.events", tracer->total_events());
-        m.AddCounter("trace.dropped", tracer->total_dropped());
-      }
-      m.SetGauge("run.wall_seconds", wall_seconds);
-      PDATALOG_RETURN_IF_ERROR(
-          WriteMetricsJson(m, options.metrics_file));
-      out += "metrics: " + std::to_string(m.size()) + " metrics -> " +
-             options.metrics_file + "\n";
-    }
-    if (options.profile && tracer != nullptr) {
-      ProfileReport prof = AnalyzeTrace(*tracer);
-      out += prof.ToText();
-      if (!options.profile_file.empty()) {
-        PDATALOG_RETURN_IF_ERROR(
-            WriteProfileJson(prof, options.profile_file));
-        out += "profile: -> " + options.profile_file + "\n";
-      }
-    }
-    if (!options.save_directory.empty()) {
-      StatusOr<size_t> saved =
-          SaveDatabase(edb, symbols, options.save_directory);
-      if (!saved.ok()) return saved.status();
-      out += "saved " + std::to_string(*saved) + " relations to " +
-             options.save_directory + "\n";
-    }
-    PDATALOG_RETURN_IF_ERROR(dump_relation(edb));
-    return out;
-  }
-
-  if (options.advise) {
-    StatusOr<LinearSirup> sirup = ExtractLinearSirup(*program, info);
-    if (!sirup.ok()) return sirup.status();
-    AdvisorOptions aopts;
-    aopts.num_processors = options.processors;
-    aopts.seed = options.seed;
-    aopts.cost = CostParams{1.0, options.net_cost, 0.0};
-    aopts.tradeoff_rhos = {0.5, 1.0};
-    StatusOr<AdvisorReport> report =
-        AdviseScheme(*program, info, *sirup, &edb, aopts);
-    if (!report.ok()) return report.status();
-    out += "scheme advice (net/cpu cost ratio " +
-           TextTable::Cell(options.net_cost, 2) + ", " +
-           std::to_string(options.processors) + " processors):\n";
-    out += report->ToString();
-    out += "advice: " + report->best().name + " — " +
-           report->best().description + "\n";
-    return out;
-  }
-
-  std::string scheme_note;
-  StatusOr<RewriteBundle> bundle =
-      BuildBundle(options, *program, info, edb, &scheme_note);
-  if (!bundle.ok()) return bundle.status();
-
-  out += "mode: parallel, " + std::to_string(options.processors) +
-         " processors\nscheme: " + scheme_note + "\n";
-  if (options.print_programs) {
-    for (int i = 0; i < bundle->num_processors; ++i) {
-      out += "-- processor " + std::to_string(i) + " --\n";
-      out += ToString(bundle->per_processor[i]);
-    }
-  }
-
-  ParallelOptions popts;
-  popts.faults = options.faults;
-  popts.faults.seed = options.seed;
-  popts.retransmit = options.retransmit;
-  popts.block_tuples = options.block_tuples;
-  // Corruption flips wire bytes, so it needs the serialized channels.
-  if (popts.faults.corrupt > 0) popts.serialize_messages = true;
-  popts.rebalance.skew_threshold = options.rebalance_skew;
-  popts.rebalance.buckets_per_processor =
-      static_cast<uint32_t>(options.rebalance_buckets);
-  popts.rebalance.net_per_message = options.net_cost;
-  std::unique_ptr<Tracer> tracer;
-  if (!options.trace_file.empty() || options.profile) {
-    tracer =
-        std::make_unique<Tracer>(options.processors, RingCapacity(options));
-    popts.tracer = tracer.get();
-  }
-  StatusOr<ParallelResult> result = RunParallel(*bundle, &edb, popts);
-  if (!result.ok()) return result.status();
-
-  out += "firings: " + U64(result->total_firings) +
-         ", output tuples: " + U64(result->pooled_tuples) +
-         ", cross messages: " + U64(result->cross_tuples) +
-         " in " + U64(result->cross_frames) + " frames (" +
-         U64(result->cross_bytes) + " bytes)" +
-         ", self-routed: " + U64(result->self_tuples) + ", " +
-         TextTable::Cell(result->wall_seconds * 1e3, 2) + " ms\n";
-  if (result->faults.any()) {
-    out += "faults injected: dropped " + U64(result->faults.dropped) +
-           ", duplicated " + U64(result->faults.duplicated) +
-           ", reordered " + U64(result->faults.reordered) +
-           ", corrupted " + U64(result->faults.corrupted) + ", delayed " +
-           U64(result->faults.delayed) + "; retransmitted " +
-           U64(result->faults.retransmitted) + "\n";
-  }
-  if (options.rebalance_skew > 0.0) {
-    out += "rebalance: " + U64(result->metrics.counter("rebalance.moves")) +
-           " moves, " +
-           U64(result->metrics.counter("rebalance.replications")) +
-           " replications in " +
-           U64(result->metrics.counter("rebalance.rounds")) + " epochs (" +
-           U64(result->metrics.counter("rebalance.windows")) +
-           " windows observed)\n";
-  }
-  for (Symbol p : bundle->derived) {
-    out += "  " + symbols.Name(p) + ": " +
-           std::to_string(result->output.Find(p)->size()) + " tuples\n";
-  }
-  if (tracer != nullptr) {
-    result->metrics.AddCounter("trace.events", tracer->total_events());
-    result->metrics.AddCounter("trace.dropped", tracer->total_dropped());
-    if (!options.trace_file.empty()) {
-      PDATALOG_RETURN_IF_ERROR(
-          WriteChromeTrace(*tracer, options.trace_file));
-      out += "trace: " + U64(tracer->total_events()) + " events (" +
-             U64(tracer->total_dropped()) + " dropped) -> " +
-             options.trace_file + "\n";
-    }
-    if (tracer->total_dropped() > 0) {
-      out += TraceDropWarning(tracer->total_dropped());
-    }
-  }
-  if (!options.metrics_file.empty()) {
-    PDATALOG_RETURN_IF_ERROR(
-        WriteMetricsJson(result->metrics, options.metrics_file));
-    out += "metrics: " + std::to_string(result->metrics.size()) +
-           " metrics -> " + options.metrics_file + "\n";
-  }
-  if (options.print_stats) {
-    ReportOptions ropts;
-    ropts.totals = false;
-    ropts.channel_matrix = true;
-    out += RenderReport(*result, ropts);
-    out += RenderBspTimeline(*result, 1.0, options.net_cost);
-  }
-  if (options.profile && tracer != nullptr) {
-    ProfileReport prof = AnalyzeRun(*tracer, MakeProfileContext(*result));
-    out += prof.ToText();
-    if (!options.profile_file.empty()) {
-      PDATALOG_RETURN_IF_ERROR(WriteProfileJson(prof, options.profile_file));
-      out += "profile: -> " + options.profile_file + "\n";
-    }
-  }
-  if (!options.save_directory.empty()) {
-    StatusOr<size_t> saved =
-        SaveDatabase(result->output, symbols, options.save_directory);
-    if (!saved.ok()) return saved.status();
-    out += "saved " + std::to_string(*saved) + " relations to " +
-           options.save_directory + "\n";
-  }
-  PDATALOG_RETURN_IF_ERROR(dump_relation(result->output));
+  PDATALOG_RETURN_IF_ERROR(RunPipeline(options, source, &session, &out));
   return out;
 }
 
@@ -766,46 +830,18 @@ void QueryLoop(const Database& db, SymbolTable* symbols, std::istream& in,
 
 Status RunInteractive(const CliOptions& options, const std::string& source,
                       std::istream& in, std::ostream& out) {
-  // Produce the normal report first.
-  StatusOr<std::string> report = RunCli(options, source);
-  if (!report.ok()) return report.status();
-  out << *report;
-
-  // Re-evaluate to obtain the database for querying (RunCli returns
-  // only text; evaluation here is cheap relative to an interactive
-  // session). Sequential evaluation yields the same least model as any
-  // scheme (Theorem 1).
-  SymbolTable symbols;
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
-  StatusOr<Program> program = ParseProgram(effective_source, &symbols);
-  if (!program.ok()) return program.status();
-  ProgramInfo info;
-  PDATALOG_RETURN_IF_ERROR(Validate(*program, &info));
-  Database db;
-  PDATALOG_RETURN_IF_ERROR(db.LoadFacts(*program));
-  for (const auto& [pred, path] : options.fact_files) {
-    StatusOr<size_t> loaded = LoadFactsFromFile(path, pred, &symbols, &db);
-    if (!loaded.ok()) return loaded.status();
-  }
-  EvalStats stats;
-  PDATALOG_RETURN_IF_ERROR(SemiNaiveEvaluate(*program, info, &db, &stats));
-  QueryLoop(db, &symbols, in, out);
+  Session session;
+  std::string report;
+  PDATALOG_RETURN_IF_ERROR(RunPipeline(options, source, &session, &report));
+  out << report;
+  QueryLoop(session.db, &session.symbols, in, out);
   return Status::Ok();
 }
 
 Status RunServe(const CliOptions& options, const std::string& source,
                 std::istream& in, std::ostream& out) {
-  std::string effective_source = source;
-  if (!options.builtin.empty()) {
-    StatusOr<NamedProgram> builtin = FindProgram(options.builtin);
-    if (!builtin.ok()) return builtin.status();
-    effective_source = builtin->source + source;
-  }
+  StatusOr<std::string> text = ProgramSource(options, source);
+  if (!text.ok()) return text.status();
 
   ServerOptions sopts;
   sopts.max_batch = static_cast<size_t>(options.serve_batch);
@@ -820,7 +856,7 @@ Status RunServe(const CliOptions& options, const std::string& source,
     sopts.health.max_lag_ms = options.health_lag_ms;
   }
   StatusOr<std::unique_ptr<ServerEngine>> engine =
-      ServerEngine::Create(effective_source, sopts);
+      ServerEngine::Create(*text, sopts);
   if (!engine.ok()) return engine.status();
   ServerEngine* server = engine->get();
 
@@ -851,30 +887,15 @@ Status RunServe(const CliOptions& options, const std::string& source,
   if (socket != nullptr) socket->Stop();
   server->Shutdown();
 
-  // Post-shutdown exports, mirroring the one-shot paths: the Chrome
-  // trace carries kQuery/kApply/kMaintain spans (query End events carry
-  // the snapshot epoch as their arg), the metrics JSON the final
-  // telemetry sample.
-  Tracer* tracer = server->tracer();
-  if (tracer != nullptr && !options.trace_file.empty()) {
-    PDATALOG_RETURN_IF_ERROR(WriteChromeTrace(*tracer, options.trace_file));
-    out << "trace: " << tracer->total_events() << " events ("
-        << tracer->total_dropped() << " dropped) -> " << options.trace_file
-        << "\n";
-  }
-  if (tracer != nullptr && tracer->total_dropped() > 0) {
-    out << TraceDropWarning(tracer->total_dropped());
-  }
-  if (!options.metrics_file.empty()) {
-    MetricsRegistry m = server->MetricsCopy();
-    if (tracer != nullptr) {
-      m.AddCounter("trace.events", tracer->total_events());
-      m.AddCounter("trace.dropped", tracer->total_dropped());
-    }
-    PDATALOG_RETURN_IF_ERROR(WriteMetricsJson(m, options.metrics_file));
-    out << "metrics: " << m.size() << " metrics -> " << options.metrics_file
-        << "\n";
-  }
+  // Post-shutdown exports, as in the one-shot report: the Chrome trace
+  // carries kQuery/kApply/kMaintain spans (query End events carry the
+  // snapshot epoch as their arg), the metrics JSON the final telemetry
+  // sample.
+  MetricsRegistry metrics = server->MetricsCopy();
+  std::string exports;
+  PDATALOG_RETURN_IF_ERROR(
+      ExportTraceAndMetrics(options, server->tracer(), &metrics, &exports));
+  out << exports;
   out.flush();
   return Status::Ok();
 }

@@ -1,6 +1,7 @@
 #include "storage/database.h"
 
 #include <cassert>
+#include <string>
 
 namespace pdatalog {
 
@@ -42,6 +43,14 @@ Status Database::LoadFacts(const Program& program) {
     Insert(fact.predicate, Tuple(buf, fact.arity()), fact.arity());
   }
   return Status::Ok();
+}
+
+Status Database::Absorb(Database&& other) {
+  relations_.merge(other.relations_);
+  if (other.relations_.empty()) return Status::Ok();
+  return Status::AlreadyExists(
+      "relation " + std::to_string(other.relations_.begin()->first) +
+      " is in both databases");
 }
 
 }  // namespace pdatalog

@@ -35,6 +35,11 @@ class Database {
   // Loads all ground facts of `program` into this database.
   Status LoadFacts(const Program& program);
 
+  // Moves every relation of `other` into this database without copying
+  // a row. Fails when a predicate is in both; its two relations are
+  // left where they were.
+  Status Absorb(Database&& other);
+
   size_t relation_count() const { return relations_.size(); }
 
   const std::unordered_map<Symbol, std::unique_ptr<Relation>>& relations()

@@ -1,6 +1,10 @@
 #include "cli/driver.h"
 
+#include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 
 #include "gtest/gtest.h"
@@ -45,6 +49,19 @@ TEST(CliParseTest, Rejections) {
   EXPECT_FALSE(ParseCliArgs({"--rho=1.5", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--nonsense", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"a.dl", "b.dl"}).ok());  // two files
+  // Every value is parsed strictly: no trailing text, no non-numbers,
+  // no overflow, no empty value.
+  for (const char* flag :
+       {"--processors=4x", "--block-tuples=1e3", "--rebalance-buckets=12abc",
+        "--rho=abc", "--seed=xyz", "--net=abc", "--slow-query-ms=abc",
+        "--health-lag-ms=5ms", "--health-queue=99999999999999999999",
+        "--serve=", "--vars=x:Y"}) {
+    EXPECT_FALSE(ParseCliArgs({flag, "--serve", "p.dl"}).ok()) << flag;
+  }
+  // --interactive needs a database, which these modes never produce.
+  for (const char* flag : {"--explain", "--advise", "--list-programs"}) {
+    EXPECT_FALSE(ParseCliArgs({"--interactive", flag, "p.dl"}).ok()) << flag;
+  }
 }
 
 TEST(CliParseTest, FaultsFlag) {
@@ -340,6 +357,120 @@ TEST(CliInteractiveTest, EofEndsLoop) {
   EXPECT_TRUE(RunInteractive(*options, kAncestor, in, out).ok());
 }
 
+TEST(CliInteractiveTest, ParallelModeAnswersBaseAndDerived) {
+  StatusOr<CliOptions> options = ParseCliArgs(
+      {"--interactive", "--mode=par", "--scheme=example3", "p.dl"});
+  ASSERT_TRUE(options.ok());
+  std::istringstream in("anc(a, X)\npar(a, X)\n");
+  std::ostringstream out;
+  Status status = RunInteractive(*options, kAncestor, in, out);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  // The report, then one answer after each "?- " prompt.
+  std::vector<std::string> parts;
+  std::string text = out.str();
+  for (size_t at; (at = text.find("?- ")) != std::string::npos;) {
+    parts.push_back(text.substr(0, at));
+    text = text.substr(at + 3);
+  }
+  ASSERT_EQ(parts.size(), 3u) << out.str();
+  EXPECT_NE(parts[1].find("X = b"), std::string::npos) << out.str();
+  EXPECT_NE(parts[1].find("X = d"), std::string::npos) << out.str();
+  EXPECT_EQ(parts[2], "X = b\n") << out.str();
+}
+
+// Sorted lines of `path`.
+std::vector<std::string> SortedLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  std::sort(lines.begin(), lines.end());
+  return lines;
+}
+
+// Theorem 1: every scheme computes the least model, so every mode puts
+// the same base and derived relations behind --dump, --query and --save.
+TEST(CliRunTest, EveryModeReportsTheSameDatabase) {
+  const std::vector<std::vector<std::string>> modes = {
+      {"--mode=seq"},
+      {"--mode=naive"},
+      {"--mode=par", "--scheme=example1"},
+      {"--mode=par", "--scheme=example3"},
+      {"--mode=par", "--scheme=general"}};
+  std::map<std::string, std::string> expected_output;
+  std::map<std::string, std::vector<std::string>> expected_files;
+  for (size_t m = 0; m < modes.size(); ++m) {
+    const std::string mode = modes[m].back();
+    const std::string dir =
+        testing::TempDir() + "cli-modes-" + std::to_string(m);
+    std::filesystem::remove_all(dir);
+    for (const std::string pred : {"par", "anc"}) {
+      std::vector<std::string> args = modes[m];
+      args.insert(args.end(), {"--dump=" + pred, "--query=par(a, X)",
+                               "--save=" + dir, "p.dl"});
+      StatusOr<CliOptions> options = ParseCliArgs(args);
+      ASSERT_TRUE(options.ok()) << mode;
+      StatusOr<std::string> report = RunCli(*options, kAncestor);
+      ASSERT_TRUE(report.ok()) << mode << ": " << report.status().ToString();
+      const size_t dump = report->find("\n" + pred + ":\n");
+      ASSERT_NE(dump, std::string::npos) << mode << ":\n" << *report;
+      const std::string output = report->substr(dump);
+      auto [it, first] = expected_output.emplace(pred, output);
+      EXPECT_EQ(output, it->second) << mode;
+    }
+    std::set<std::string> files;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      files.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(files, (std::set<std::string>{"anc.tsv", "par.tsv"})) << mode;
+    for (const std::string& file : files) {
+      std::vector<std::string> lines = SortedLines(dir + "/" + file);
+      auto [it, first] = expected_files.emplace(file, lines);
+      EXPECT_EQ(lines, it->second) << mode << " " << file;
+    }
+  }
+  EXPECT_NE(expected_output["par"].find("(c, d)"), std::string::npos);
+  EXPECT_NE(expected_output["anc"].find("(a, d)"), std::string::npos);
+  EXPECT_NE(expected_output["anc"].find("X = b"), std::string::npos);
+  EXPECT_EQ(expected_files["anc.tsv"].size(), 6u);
+  EXPECT_EQ(expected_files["par.tsv"].size(), 3u);
+}
+
+// Flag names (without "--") in `text`: "--mode" out of "--mode=seq".
+std::set<std::string> FlagNames(const std::string& text) {
+  std::set<std::string> names;
+  for (size_t at = text.find("--"); at != std::string::npos;
+       at = text.find("--", at + 2)) {
+    const size_t end = text.find_first_not_of(
+        "abcdefghijklmnopqrstuvwxyz0123456789-", at + 2);
+    names.insert(text.substr(at + 2, end - at - 2));
+  }
+  return names;
+}
+
+// The usage text is generated from the parser's flag table, so this keeps
+// docs/cli.md's flag tables and the parser in step, in both directions.
+TEST(CliDocsTest, DocsTablesListExactlyTheParsersFlags) {
+  StatusOr<CliOptions> bad = ParseCliArgs({"--nonsense"});
+  ASSERT_FALSE(bad.ok());
+  const std::string& message = bad.status().message();
+  const size_t usage = message.find("usage: pdatalog");
+  ASSERT_NE(usage, std::string::npos) << message;
+  const std::set<std::string> parsed = FlagNames(message.substr(usage));
+
+  std::ifstream doc(PDATALOG_CLI_DOC);
+  ASSERT_TRUE(doc.good()) << PDATALOG_CLI_DOC;
+  std::set<std::string> documented;
+  for (std::string line; std::getline(doc, line);) {
+    // First cell of a flag row: "| `--mode=par` | ...".
+    if (line.rfind("| `--", 0) != 0) continue;
+    const std::set<std::string> cell =
+        FlagNames(line.substr(0, line.find('|', 1)));
+    documented.insert(cell.begin(), cell.end());
+  }
+  EXPECT_GT(parsed.size(), 30u);
+  EXPECT_EQ(parsed, documented);
+}
+
 TEST(CliRunTest, ListPrograms) {
   StatusOr<CliOptions> options = ParseCliArgs({"--list-programs"});
   ASSERT_TRUE(options.ok()) << options.status().ToString();
@@ -359,6 +490,21 @@ TEST(CliParseTest, VarsFlag) {
   EXPECT_EQ(options->rule_vars[0].second, "Y");
   EXPECT_EQ(options->rule_vars[1].second, "Z");
   EXPECT_FALSE(ParseCliArgs({"--vars=broken", "p.dl"}).ok());
+}
+
+TEST(CliRunTest, VarsNamingNoRuleOrNoVariableFail) {
+  for (const char* vars : {"--vars=9:Y", "--vars=0:NOPE"}) {
+    StatusOr<CliOptions> options =
+        ParseCliArgs({"--scheme=general", vars, "p.dl"});
+    ASSERT_TRUE(options.ok()) << vars;
+    StatusOr<std::string> report = RunCli(*options, kAncestor);
+    ASSERT_FALSE(report.ok()) << vars;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(report.status().message().find(vars[7] == '9' ? "rule 9"
+                                                             : "NOPE"),
+              std::string::npos)
+        << report.status().ToString();
+  }
 }
 
 TEST(CliRunTest, VarsOverrideGeneralScheme) {

@@ -34,6 +34,27 @@ TEST(DatabaseTest, InsertCreatesRelation) {
   EXPECT_EQ(db.Find(p)->size(), 1u);
 }
 
+TEST(DatabaseTest, AbsorbMovesRelationsWithoutCopying) {
+  SymbolTable symbols;
+  Symbol p = symbols.Intern("p");
+  Symbol q = symbols.Intern("q");
+  Database db;
+  db.Insert(p, Tuple{1, 2}, 2);
+  Database other;
+  other.Insert(q, Tuple{3}, 1);
+  const Relation* moved = other.Find(q);
+  ASSERT_TRUE(db.Absorb(std::move(other)).ok());
+  EXPECT_EQ(db.Find(q), moved);
+  EXPECT_EQ(db.relation_count(), 2u);
+
+  // A predicate in both is an error, and its relation stays behind.
+  Database clash;
+  clash.Insert(p, Tuple{5, 6}, 2);
+  EXPECT_EQ(db.Absorb(std::move(clash)).code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(db.Find(p)->size(), 1u);
+  EXPECT_EQ(clash.relation_count(), 1u);
+}
+
 TEST(DatabaseTest, LoadFactsFromProgram) {
   SymbolTable symbols;
   Program program = ParseOrDie("par(a, b).\npar(b, c).\nsolo(x).\n", &symbols);

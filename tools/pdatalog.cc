@@ -1,6 +1,6 @@
 // The pdatalog command-line tool: evaluates a Datalog program file
 // sequentially or in parallel with any of the paper's schemes.
-// See src/cli/driver.h for the flag reference.
+// See docs/cli.md for the flag reference.
 #include <cstdio>
 #include <fstream>
 #include <iostream>
