@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <unordered_set>
 
 #include "core/partition.h"
 #include "eval/stratify.h"
@@ -210,6 +211,27 @@ void ProjectScalarsFromMetrics(ParallelResult* result) {
   result->pooled_tuples = m.counter("run.pooled_tuples");
 }
 
+// True when every processor's sending rules route every row of `p`'s
+// t_out to at least one processor: each processor has a spec for `p`
+// whose pattern is all distinct variables, so the spec matches any
+// tuple. A constant or a repeated variable in the pattern lets some
+// rows match no spec and stay in t_out only.
+bool SendsCoverEveryRow(const RewriteBundle& bundle, Symbol p) {
+  auto matches_all = [p](const SendSpec& spec) {
+    if (spec.predicate != p) return false;
+    std::unordered_set<Symbol> vars;
+    for (const Term& term : spec.pattern.args) {
+      if (!term.is_var() || !vars.insert(term.sym).second) return false;
+    }
+    return true;
+  };
+  return std::all_of(bundle.sends.begin(), bundle.sends.end(),
+                     [&](const std::vector<SendSpec>& sends) {
+                       return std::any_of(sends.begin(), sends.end(),
+                                          matches_all);
+                     });
+}
+
 }  // namespace
 
 StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
@@ -407,9 +429,19 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   }
 
   // Final pooling (Section 3, step 5). Collector is processor 0: every
-  // other processor ships its t_out across the network. run.pooling_bytes
-  // models that shipment as one frame per tuple (6-byte header, u32 per
-  // value, u32 checksum); no channel moves these bytes.
+  // other processor ships the relation it pools from across the network.
+  // run.pooling_bytes models that shipment as one frame per tuple
+  // (6-byte header, u32 per value, u32 checksum); no channel moves these
+  // bytes.
+  //
+  // Source per predicate: when the sending rules route every t_out row
+  // somewhere (SendsCoverEveryRow), the receivers' t_in relations hold
+  // the whole fixpoint, already deduplicated on ingest; under a
+  // determined send they partition it. Those are pooled whenever they
+  // are no larger than the t_out relations (a broadcast puts up to P
+  // copies of a tuple into the t_ins). Otherwise, and for predicates no
+  // rule consumes, the t_outs are pooled. Either way one deduplicating
+  // merge runs, so overlapping sources stay correct.
   auto pooling_frame_bytes = [](int arity) {
     return 6 + 4 * static_cast<uint64_t>(arity) + 4;
   };
@@ -418,20 +450,28 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
         options.tracer != nullptr ? options.tracer->engine_ring() : nullptr,
         TracePhase::kPool);
     std::vector<const Relation*> outs(workers.size());
+    std::vector<const Relation*> ins(workers.size());
     for (Symbol p : bundle.derived) {
-      int arity = bundle.arity.at(p);
+      const int arity = bundle.arity.at(p);
+      uint64_t out_total = 0;
+      uint64_t in_total = 0;
       for (size_t w = 0; w < workers.size(); ++w) {
         outs[w] = &workers[w]->OutputRelation(p);
-        m.AddCounter("run.out_tuples_total", outs[w]->size());
-        if (w != 0) {
-          m.AddCounter("run.pooling_messages", outs[w]->size());
-          m.AddCounter("run.pooling_bytes",
-                       outs[w]->size() * pooling_frame_bytes(arity));
-        }
+        ins[w] = workers[w]->local_db().Find(bundle.in_name.at(p));
+        out_total += outs[w]->size();
+        in_total += ins[w]->size();
+      }
+      m.AddCounter("run.out_tuples_total", out_total);
+      const std::vector<const Relation*>& sources =
+          in_total <= out_total && SendsCoverEveryRow(bundle, p) ? ins : outs;
+      for (size_t w = 1; w < workers.size(); ++w) {
+        m.AddCounter("run.pooling_messages", sources[w]->size());
+        m.AddCounter("run.pooling_bytes",
+                     sources[w]->size() * pooling_frame_bytes(arity));
       }
       // One presized bulk merge; first occurrences in worker order.
       Relation& pooled = result.output.GetOrCreate(p, arity);
-      pooled.InsertAll(outs);
+      pooled.InsertAll(sources);
       m.AddCounter("run.pooled_tuples", pooled.size());
     }
   }
@@ -478,12 +518,14 @@ StatusOr<ParallelResult> RunParallelStratified(
     StatusOr<ParallelResult> result = RunParallel(*bundle, edb, options);
     if (!result.ok()) return result.status();
 
-    // Pooled outputs of this stratum feed later strata as base inputs.
+    // Pooled outputs of this stratum feed later strata as base inputs
+    // (copied: edb keeps them), then move into the total. Strata own
+    // disjoint predicates, so the move cannot collide.
     for (Symbol p : strat.strata[s]) {
       const Relation* pooled = result->output.Find(p);
       edb->GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
-      total.output.GetOrCreate(p, pooled->arity()).InsertAll(*pooled);
     }
+    PDATALOG_RETURN_IF_ERROR(total.output.Absorb(std::move(result->output)));
 
     // Aggregate statistics: counters add across strata; the scalar
     // fields are re-projected from the merged registry at the end.

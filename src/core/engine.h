@@ -69,6 +69,11 @@ struct ParallelOptions {
 
 struct ParallelResult {
   // Pooled derived relations under their original predicate names.
+  // Each predicate is pooled from the workers' t_in relations when the
+  // sending rules route every t_out row to some processor and the t_ins
+  // are no larger than the t_outs, else from the t_outs. Rows are in
+  // first-occurrence order over the chosen sources in worker order, so
+  // the order depends on which source was chosen.
   Database output;
 
   std::vector<WorkerStats> workers;
@@ -93,8 +98,9 @@ struct ParallelResult {
   uint64_t pooled_tuples = 0;
   // Final pooling (Section 3, step 5) "might require communication from
   // all processors to a single processor": tuples and modelled bytes
-  // (one per-tuple frame each) to ship every processor's t_out to
-  // collector 0 (its own tuples stay local). No channel moves them.
+  // (one per-tuple frame each) to ship every other processor's pooling
+  // source (t_in or t_out, see `output`) to collector 0 (its own tuples
+  // stay local). No channel moves them.
   uint64_t pooling_messages = 0;
   uint64_t pooling_bytes = 0;
   // Injected-fault totals summed over all channels (zero when fault

@@ -285,11 +285,36 @@ void Relation::GrowDedup(size_t min_rows) {
   while (cap * 3 < min_rows * 4) cap *= 2;
   dedup_.assign(cap, DedupSlot{0, kEmptySlot});
   dedup_mask_ = cap - 1;
-  for (uint32_t id = 0; id < store_.size(); ++id) {
-    uint64_t hash = store_.HashRow(id);
-    uint64_t i = hash & dedup_mask_;
-    while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
-    dedup_[i] = DedupSlot{hash, id};
+
+  // Re-place the committed rows one column chunk at a time: hash the
+  // chunk column by column, then place its rows in id order with each
+  // slot prefetched a few rows ahead, so every slot ends up as a
+  // row-at-a-time rehash would leave it. The hashes need a buffer of
+  // their own: IngestColumns calls this between its hash pass and its
+  // probe pass, while block_hashes_ still holds the block's hashes.
+  constexpr size_t kLookahead = 16;
+  const size_t n = store_.size();
+  const uint64_t seed = 0x12345678u ^ static_cast<uint64_t>(arity_);
+  std::vector<uint64_t> hashes(std::min(n, ColumnStore::kChunkRows));
+  size_t run = 0;
+  for (size_t row = 0; row < n; row += run) {
+    run = std::min(ColumnStore::kChunkRows - (row & ColumnStore::kChunkMask),
+                   n - row);
+    std::fill_n(hashes.begin(), run, seed);
+    for (int c = 0; c < arity_; ++c) {
+      const Value* col = store_.ColumnSpan(c, row, &run);
+      for (size_t r = 0; r < run; ++r) {
+        hashes[r] = HashCombine(hashes[r], col[r]);
+      }
+    }
+    for (size_t r = 0; r < run; ++r) {
+      if (r + kLookahead < run) {
+        __builtin_prefetch(&dedup_[hashes[r + kLookahead] & dedup_mask_]);
+      }
+      uint64_t i = hashes[r] & dedup_mask_;
+      while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
+      dedup_[i] = DedupSlot{hashes[r], static_cast<uint32_t>(row + r)};
+    }
   }
 }
 

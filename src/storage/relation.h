@@ -104,17 +104,6 @@ class ColumnStore {
     return true;
   }
 
-  // Same hash as HashProjection over the row's values, read per column.
-  uint64_t HashRow(size_t row) const {
-    size_t chunk = row >> kChunkShift;
-    size_t at = row & kChunkMask;
-    uint64_t h = 0x12345678u ^ static_cast<uint64_t>(arity_);
-    for (int c = 0; c < arity_; ++c) {
-      h = HashCombine(h, columns_[c].chunks[chunk][at]);
-    }
-    return h;
-  }
-
   // Bulk-append support: EnsureCapacity allocates chunks for `rows`
   // total rows; MutableSpan exposes the write window (capacity, not
   // size, bounds it); CommitRows publishes the appended rows.
@@ -358,7 +347,8 @@ class Relation {
   static constexpr uint32_t kEmptySlot = 0xffffffffu;
 
   // Grows the dedup table until it can hold `min_rows` rows below 3/4
-  // load (one rehash even when doubling several times).
+  // load (one rehash even when doubling several times), rehashing the
+  // committed rows in column-chunk batches with prefetched placement.
   void GrowDedup(size_t min_rows);
 
   // The ingest path shared by InsertBlock and InsertAll: cell (r, c) of

@@ -180,12 +180,14 @@ TEST(EngineExtraTest, PoolingCostAccounted) {
       MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 3);
   StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb);
   ASSERT_TRUE(result.ok());
-  uint64_t remote_out =
-      result->out_tuples_total - result->workers[0].out_inserted;
-  EXPECT_EQ(result->pooling_messages, remote_out);
+  // Example 3 sends cover every anc tuple, so pooling reads the t_in
+  // relations: workers 1..P-1 ship theirs to collector 0.
+  uint64_t remote_in = 0;
+  for (int w = 1; w < 3; ++w) remote_in += result->workers[w].in_inserted;
+  EXPECT_EQ(result->pooling_messages, remote_in);
   // Modelled as one 18-byte frame per arity-2 tuple: 6-byte header,
   // two u32 values, u32 checksum.
-  EXPECT_EQ(result->pooling_bytes, remote_out * 18);
+  EXPECT_EQ(result->pooling_bytes, remote_in * 18);
 }
 
 TEST(EngineExtraTest, SingleProcessorPoolingIsFree) {

@@ -121,6 +121,52 @@ inline void GenPointsToFacts(SymbolTable* symbols, Database* db, int vars,
   }
 }
 
+// Workers of `bundle` wired to one network and detector, driven by the
+// test on its own thread instead of through RunParallel, so their
+// local t_out / t_in relations stay inspectable.
+struct WorkerRig {
+  std::unique_ptr<CommNetwork> network;
+  std::unique_ptr<TerminationDetector> detector;
+  std::vector<std::unique_ptr<Worker>> workers;
+
+  static WorkerRig Create(const RewriteBundle& bundle, Database* edb) {
+    WorkerRig rig;
+    rig.network = std::make_unique<CommNetwork>(bundle.num_processors);
+    rig.detector =
+        std::make_unique<TerminationDetector>(bundle.num_processors);
+    StatusOr<PartitionResult> partition = PartitionBases(bundle, *edb);
+    EXPECT_TRUE(partition.ok());
+    for (int i = 0; i < bundle.num_processors; ++i) {
+      StatusOr<std::unique_ptr<Worker>> worker = Worker::Create(
+          &bundle, i, edb, std::move(partition->fragments[i]),
+          rig.network.get(), rig.detector.get());
+      EXPECT_TRUE(worker.ok()) << worker.status().ToString();
+      rig.workers.push_back(std::move(*worker));
+    }
+    // As in RunParallel: shared base relations are indexed up front.
+    for (const auto& worker : rig.workers) {
+      for (const auto& [pred, mask] : worker->compiled().required_indexes()) {
+        if (Relation* rel = edb->Find(pred)) rel->EnsureIndex(mask);
+      }
+    }
+    return rig;
+  }
+
+  // Runs init + round-robin steps to quiescence.
+  void RunToQuiescence() {
+    for (auto& w : workers) ASSERT_TRUE(w->Init().ok());
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (auto& w : workers) {
+        StatusOr<bool> stepped = w->Step();
+        ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
+        if (*stepped) progress = true;
+      }
+    }
+  }
+};
+
 // A one-row block of `predicate` holding `row`.
 inline TupleBlock RowBlock(Symbol predicate, std::initializer_list<Value> row) {
   TupleBlock block;

@@ -241,5 +241,61 @@ TEST(RelationInsertAllTest, NonEmptyIndexedDestination) {
   }
 }
 
+
+// Value of column `c` in distinct row `i` (every arity keeps rows
+// distinct through column 0).
+Value RowCell(size_t i, int c) {
+  return static_cast<Value>(i * (2 * c + 1) + 13 * c);
+}
+
+TEST(RelationRehashTest, GrowthInsideOneBlockKeepsDedup) {
+  // 10,000 committed rows span three column chunks and leave the dedup
+  // table at 16,384 slots (at most 12,288 rows below 3/4 load), so the
+  // 4,000-row block below makes InsertBlock grow it between its hash
+  // pass and its probe pass. The block interleaves 1,500 new rows, each
+  // twice, with 1,000 copies of committed rows.
+  constexpr size_t kCommitted = 10000;
+  constexpr size_t kNew = 1500;
+  static_assert(kCommitted > 2 * ColumnStore::kChunkRows);
+  for (int arity : {1, 2, 3}) {
+    SCOPED_TRACE(arity);
+    Relation rel(arity);
+    std::vector<Value> row(arity);
+    auto fill = [&](size_t i) {
+      for (int c = 0; c < arity; ++c) row[c] = RowCell(i, c);
+    };
+    for (size_t i = 0; i < kCommitted; ++i) {
+      fill(i);
+      ASSERT_TRUE(rel.InsertView(row.data(), arity));
+    }
+    std::vector<Value> block;
+    for (size_t k = 0; k < kNew; ++k) {
+      for (size_t i : {kCommitted + k, kCommitted + k, (k * 7) % kCommitted}) {
+        if (i < kCommitted && k % 3 == 2) continue;  // 1,000 committed
+        fill(i);
+        block.insert(block.end(), row.begin(), row.end());
+      }
+    }
+    const uint32_t count = static_cast<uint32_t>(block.size() / arity);
+    ASSERT_EQ(count, 2 * kNew + 1000);
+    EXPECT_EQ(rel.InsertBlock(block.data(), arity, count), kNew);
+    EXPECT_EQ(rel.size(), kCommitted + kNew);
+    size_t missing = 0;
+    for (size_t i = 0; i < kCommitted + kNew; ++i) {
+      fill(i);
+      if (!rel.Contains(Tuple(row.data(), arity))) ++missing;
+    }
+    EXPECT_EQ(missing, 0u);
+    size_t readded = 0;
+    for (size_t i = 0; i < kCommitted + kNew; ++i) {
+      fill(i);
+      if (rel.InsertView(row.data(), arity)) ++readded;
+    }
+    EXPECT_EQ(readded, 0u);
+    EXPECT_EQ(rel.InsertBlock(block.data(), arity, count), 0u);
+    EXPECT_EQ(rel.size(), kCommitted + kNew);
+  }
+}
+
 }  // namespace
 }  // namespace pdatalog

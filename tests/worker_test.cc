@@ -19,43 +19,7 @@ using testing_util::GenPointsToFacts;
 using testing_util::ParseOrDie;
 using testing_util::SequentialAncestor;
 using testing_util::ValidateOrDie;
-
-struct WorkerRig {
-  std::unique_ptr<CommNetwork> network;
-  std::unique_ptr<TerminationDetector> detector;
-  std::vector<std::unique_ptr<Worker>> workers;
-
-  static WorkerRig Create(const RewriteBundle& bundle, Database* edb) {
-    WorkerRig rig;
-    rig.network = std::make_unique<CommNetwork>(bundle.num_processors);
-    rig.detector =
-        std::make_unique<TerminationDetector>(bundle.num_processors);
-    StatusOr<PartitionResult> partition = PartitionBases(bundle, *edb);
-    EXPECT_TRUE(partition.ok());
-    for (int i = 0; i < bundle.num_processors; ++i) {
-      StatusOr<std::unique_ptr<Worker>> worker = Worker::Create(
-          &bundle, i, edb, std::move(partition->fragments[i]),
-          rig.network.get(), rig.detector.get());
-      EXPECT_TRUE(worker.ok()) << worker.status().ToString();
-      rig.workers.push_back(std::move(*worker));
-    }
-    return rig;
-  }
-
-  // Runs init + round-robin steps to quiescence.
-  void RunToQuiescence() {
-    for (auto& w : workers) ASSERT_TRUE(w->Init().ok());
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (auto& w : workers) {
-        StatusOr<bool> stepped = w->Step();
-        ASSERT_TRUE(stepped.ok()) << stepped.status().ToString();
-        if (*stepped) progress = true;
-      }
-    }
-  }
-};
+using testing_util::WorkerRig;
 
 TEST(WorkerTest, StepWithoutInputIsNoOp) {
   auto setup = MakeAncestorSetup();
