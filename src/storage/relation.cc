@@ -114,12 +114,13 @@ void ColumnIndex::Add(uint32_t row_id) {
 bool Relation::InsertView(const Value* values, int n) {
   assert(n == arity_);
   uint64_t hash = HashProjection(values, n);
+  const uint32_t tag = DedupTag(hash);
   if (!dedup_.empty()) {
     uint64_t i = hash & dedup_mask_;
     while (true) {
       const DedupSlot& slot = dedup_[i];
       if (slot.row == kEmptySlot) break;
-      if (slot.hash == hash && store_.RowEquals(slot.row, values)) {
+      if (slot.tag == tag && store_.RowEquals(slot.row, values)) {
         return false;
       }
       i = (i + 1) & dedup_mask_;
@@ -132,7 +133,7 @@ bool Relation::InsertView(const Value* values, int n) {
   store_.AppendRow(values);
   uint64_t i = hash & dedup_mask_;
   while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
-  dedup_[i] = DedupSlot{hash, id};
+  dedup_[i] = DedupSlot{tag, id};
   return true;
 }
 
@@ -221,12 +222,13 @@ size_t Relation::IngestColumns(const Value* const* columns, size_t stride,
       __builtin_prefetch(&dedup_[block_hashes_[r + kLookahead] & dedup_mask_]);
     }
     uint64_t hash = block_hashes_[r];
+    const uint32_t tag = DedupTag(hash);
     uint64_t i = hash & dedup_mask_;
     bool duplicate = false;
     while (true) {
       const DedupSlot& slot = dedup_[i];
       if (slot.row == kEmptySlot) break;
-      if (slot.hash == hash) {
+      if (slot.tag == tag) {
         bool equal = true;
         if (slot.row < base) {
           for (int c = 0; c < arity; ++c) {
@@ -253,7 +255,7 @@ size_t Relation::IngestColumns(const Value* const* columns, size_t stride,
     }
     if (duplicate) continue;
     dedup_[i] =
-        DedupSlot{hash, static_cast<uint32_t>(base + block_keep_.size())};
+        DedupSlot{tag, static_cast<uint32_t>(base + block_keep_.size())};
     block_keep_.push_back(r);
   }
 
@@ -313,7 +315,8 @@ void Relation::GrowDedup(size_t min_rows) {
       }
       uint64_t i = hashes[r] & dedup_mask_;
       while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
-      dedup_[i] = DedupSlot{hashes[r], static_cast<uint32_t>(row + r)};
+      dedup_[i] =
+          DedupSlot{DedupTag(hashes[r]), static_cast<uint32_t>(row + r)};
     }
   }
 }
@@ -321,11 +324,12 @@ void Relation::GrowDedup(size_t min_rows) {
 bool Relation::Contains(const Tuple& tuple) const {
   if (dedup_.empty() || tuple.arity() != arity_) return false;
   uint64_t hash = HashProjection(tuple.data(), tuple.arity());
+  const uint32_t tag = DedupTag(hash);
   uint64_t i = hash & dedup_mask_;
   while (true) {
     const DedupSlot& slot = dedup_[i];
     if (slot.row == kEmptySlot) return false;
-    if (slot.hash == hash && store_.RowEquals(slot.row, tuple.data())) {
+    if (slot.tag == tag && store_.RowEquals(slot.row, tuple.data())) {
       return true;
     }
     i = (i + 1) & dedup_mask_;

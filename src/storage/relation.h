@@ -359,12 +359,21 @@ class Relation {
 
   int arity_;
   ColumnStore store_;
-  // Open-addressing dedup set over row ids (hash + id per slot; equality
-  // reads back through the column store).
+  // Open-addressing dedup set over row ids, 8 bytes per slot. A row
+  // sits at slot (hash & dedup_mask_), linear-probed, and its slot keeps
+  // the hash's high 32 bits as a tag. The tag only filters: equality
+  // always reads the cells back through the column store, so two rows
+  // whose tags collide cost one extra compare, never a wrong answer.
+  // Tag (high bits) and slot position (low bits) are disjoint bits of
+  // the hash for any table of up to 2^32 slots.
   struct DedupSlot {
-    uint64_t hash;
+    uint32_t tag;
     uint32_t row;
   };
+  static_assert(sizeof(DedupSlot) == 8);
+  static uint32_t DedupTag(uint64_t hash) {
+    return static_cast<uint32_t>(hash >> 32);
+  }
   std::vector<DedupSlot> dedup_;
   uint64_t dedup_mask_ = 0;
   std::unordered_map<uint32_t, ColumnIndex> indexes_;

@@ -297,5 +297,61 @@ TEST(RelationRehashTest, GrowthInsideOneBlockKeepsDedup) {
   }
 }
 
+// Two distinct arity-2 rows whose hashes agree on the high 32 bits (the
+// dedup tag) and on the low 4 bits (the slot in a 16-slot table), so
+// they share a probe chain and pass the tag filter: only reading the
+// cells back tells them apart. Found by a search over 1..2047 x 1..511.
+constexpr Value kTagTwinA[] = {397, 369};
+constexpr Value kTagTwinB[] = {149, 162};
+
+// Both twins are kept, found, and rejected on re-insert.
+void ExpectTwinsKept(Relation* rel, size_t size) {
+  EXPECT_EQ(rel->size(), size);
+  EXPECT_TRUE(rel->Contains(Tuple(kTagTwinA, 2)));
+  EXPECT_TRUE(rel->Contains(Tuple(kTagTwinB, 2)));
+  EXPECT_FALSE(rel->InsertView(kTagTwinA, 2));
+  EXPECT_FALSE(rel->InsertView(kTagTwinB, 2));
+  EXPECT_EQ(rel->InsertBlock(kTagTwinB, 2, 1), 0u);
+  EXPECT_EQ(rel->size(), size);
+}
+
+TEST(RelationDedupTagTest, TagCollisionKeepsBothRows) {
+  const uint64_t ha = HashProjection(kTagTwinA, 2);
+  const uint64_t hb = HashProjection(kTagTwinB, 2);
+  ASSERT_EQ(ha >> 32, hb >> 32) << "hash changed: pick a new tag twin";
+  ASSERT_EQ(ha & 15, hb & 15) << "hash changed: pick a new tag twin";
+
+  Relation by_view(2);
+  EXPECT_TRUE(by_view.InsertView(kTagTwinA, 2));
+  EXPECT_TRUE(by_view.InsertView(kTagTwinB, 2));
+
+  // One block holding both rows: the second is checked against the
+  // first as an earlier survivor of the same block.
+  Relation by_block(2);
+  const Value block[] = {kTagTwinA[0], kTagTwinA[1], kTagTwinB[0],
+                         kTagTwinB[1]};
+  EXPECT_EQ(by_block.InsertBlock(block, 2, 2), 2u);
+
+  Relation by_union(2), source_a(2), source_b(2);
+  source_a.Insert(Tuple(kTagTwinA, 2));
+  source_b.Insert(Tuple(kTagTwinB, 2));
+  EXPECT_EQ(by_union.InsertAll(
+                std::vector<const Relation*>{&source_a, &source_b}),
+            2u);
+
+  // 10,000 more rows grow each table through GrowDedup, which must
+  // carry both twins' tags over.
+  std::vector<Value> filler;
+  for (Value i = 0; i < 10000; ++i) {
+    filler.push_back(1000000 + i);
+    filler.push_back(i);
+  }
+  for (Relation* rel : {&by_view, &by_block, &by_union}) {
+    ExpectTwinsKept(rel, 2);
+    EXPECT_EQ(rel->InsertBlock(filler.data(), 2, 10000), 10000u);
+    ExpectTwinsKept(rel, 10002);
+  }
+}
+
 }  // namespace
 }  // namespace pdatalog
