@@ -1,6 +1,6 @@
-// EXP-8: wire-protocol batching — frames, bytes, and wall time versus
-// the block flush threshold, on the paper's two communicating ancestor
-// schemes (Example 2's broadcast fragmentation and Example 3's hashed
+// EXP-8: wire-protocol batching — frames and bytes versus the block
+// flush threshold, on the paper's two communicating ancestor schemes
+// (Example 2's broadcast fragmentation and Example 3's hashed
 // point-to-point). --block-tuples=1 reproduces the old per-tuple
 // protocol (one frame per tuple) and is the baseline; larger thresholds
 // coalesce whole runs of same-predicate tuples into one frame each.
@@ -8,44 +8,25 @@
 // The cross-tuple count is scheme-determined, so it must not move with
 // the threshold; frames (and with them header/checksum bytes and lock
 // acquisitions) must shrink by the achieved tuples-per-frame factor.
+// BlockBatchingTest (tests/block_test.cc) gates both on a deterministic
+// schedule.
 //
 // `bench_comm smoke` runs a tiny input for CI.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
-#include "bench_json.h"
 #include "bench_util.h"
 
 using namespace pdatalog;
 using bench::AncestorHarness;
 
-namespace {
-
-ParallelResult RunWithOptions(AncestorHarness* h, const Database& source,
-                              const LinearSchemeOptions& scheme, int P,
-                              const ParallelOptions& options) {
-  StatusOr<RewriteBundle> bundle =
-      RewriteLinearSirup(h->program, h->info, h->sirup, P, scheme);
-  if (!bundle.ok()) AncestorHarness::Die("rewrite", bundle.status());
-  Database edb = h->CloneEdb(source);
-  StatusOr<ParallelResult> result = RunParallel(*bundle, &edb, options);
-  if (!result.ok()) AncestorHarness::Die("parallel", result.status());
-  return std::move(*result);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "smoke") == 0;
   const int P = 4;
-  const int repeats = smoke ? 1 : 3;
-  bench::BenchJson json("comm");
   std::printf(
       "EXP-8: block wire protocol (ancestor, %d processors).\n"
       "expectation: cross tuples are fixed by the scheme; frames shrink\n"
-      "~1/threshold until round boundaries cap the achievable batch, and\n"
-      "wall time follows the saved per-frame overhead.\n\n",
+      "~1/threshold until round boundaries cap the achievable batch.\n\n",
       P);
 
   struct SchemeCase {
@@ -63,56 +44,28 @@ int main(int argc, char** argv) {
     std::printf("scheme=%s edges=%zu\n", sc.name, edges);
 
     TextTable table({"block-tuples", "cross-tuples", "frames",
-                     "tuples/frame", "bytes", "wall ms"});
-    uint64_t baseline_frames = 0;
-    double baseline_wall = 0;
+                     "tuples/frame", "bytes"});
     for (int block : {1, 8, 64, 256, 1024}) {
       ParallelOptions options;
       options.block_tuples = block;
-      ParallelResult r = RunWithOptions(&h, base, scheme, P, options);
-      double wall = r.wall_seconds;
-      for (int rep = 1; rep < repeats; ++rep) {
-        ParallelResult again = RunWithOptions(&h, base, scheme, P, options);
-        wall = std::min(wall, again.wall_seconds);
-      }
+      ParallelResult r = h.RunScheme(base, scheme, P, options);
       double tpf = r.cross_frames == 0
                        ? 0.0
                        : static_cast<double>(r.cross_tuples) /
                              static_cast<double>(r.cross_frames);
-      if (block == 1) {
-        baseline_frames = r.cross_frames;
-        baseline_wall = wall;
-      }
       table.AddRow({TextTable::Cell(block),
                     TextTable::Cell(r.cross_tuples),
                     TextTable::Cell(r.cross_frames),
-                    TextTable::Cell(tpf, 1), TextTable::Cell(r.cross_bytes),
-                    TextTable::Cell(wall * 1e3, 2)});
-      json.NewRecord()
-          .Set("scheme", sc.name)
-          .Set("processors", P)
-          .Set("block_tuples", block)
-          .Set("cross_tuples", r.cross_tuples)
-          .Set("cross_frames", r.cross_frames)
-          .Set("tuples_per_frame", tpf)
-          .Set("cross_bytes", r.cross_bytes)
-          .Set("wall_ms", wall * 1e3)
-          .Set("frame_reduction",
-               r.cross_frames == 0
-                   ? 0.0
-                   : static_cast<double>(baseline_frames) /
-                         static_cast<double>(r.cross_frames))
-          .Set("wall_speedup", wall == 0 ? 0.0 : baseline_wall / wall);
+                    TextTable::Cell(tpf, 1), TextTable::Cell(r.cross_bytes)});
     }
     table.Print();
     std::printf("\n");
   }
 
   std::printf(
-      "reading guide: the block-tuples=1 row is the per-tuple protocol;\n"
-      "frame_reduction in BENCH_comm.json is its frames divided by each\n"
-      "row's frames. Residual bytes per tuple approach 4*arity as the\n"
+      "reading guide: the block-tuples=1 row is the per-tuple protocol\n"
+      "(one frame per tuple), so tuples/frame is also each row's frame\n"
+      "reduction. Residual bytes per tuple approach 4*arity as the\n"
       "header and checksum amortize across the block.\n");
-  json.WriteFile();
   return 0;
 }

@@ -8,16 +8,16 @@
 // between rounds; the firings concentration and the modeled makespan
 // must both drop while the fixpoint stays bit-identical.
 //
-// The container this reproduction runs on is single-core, so the
-// headline metrics are the work-model ones (max/mean firings and
-// ModeledMakespan — see DESIGN.md), not wall time.
+// The headline metrics are the work-model ones (max/mean firings and
+// ModeledMakespan — see DESIGN.md), not wall time. The run exits 1
+// unless rebalancing clears the acceptance bar below on both with an
+// identical fixpoint.
 //
 // `bench_skew smoke` runs a smaller input for CI.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 
-#include "bench_json.h"
 #include "bench_util.h"
 #include "core/rebalance.h"
 
@@ -62,7 +62,6 @@ int main(int argc, char** argv) {
   size_t inserted =
       GenZipfGraph(&h.symbols, &base, "par", nodes, edges, exponent, 3);
 
-  bench::BenchJson json("skew");
   std::printf(
       "EXP-10: skew-adaptive repartitioning (ancestor/example3, %d "
       "processors,\nZipf(%.1f) graph: %zu edges over %d nodes).\n"
@@ -107,18 +106,16 @@ int main(int argc, char** argv) {
   const double skew_bar = smoke ? 0.15 : 0.30;
   const double makespan_bar = smoke ? 0.05 : 0.15;
   const bool improved =
-      identical && skew_drop >= skew_bar && makespan_drop >= makespan_bar;
+      skew_drop >= skew_bar && makespan_drop >= makespan_bar;
 
   TextTable table({"rebalance", "max/mean firings", "modeled makespan",
-                   "moves", "replications", "wall ms"});
+                   "moves", "replications"});
   table.AddRow({TextTable::Cell("off"), TextTable::Cell(skew_before, 3),
                 TextTable::Cell(makespan_before, 0), TextTable::Cell(0),
-                TextTable::Cell(0),
-                TextTable::Cell(before.wall_seconds * 1e3, 2)});
+                TextTable::Cell(0)});
   table.AddRow({TextTable::Cell("on"), TextTable::Cell(skew_after, 3),
                 TextTable::Cell(makespan_after, 0), TextTable::Cell(moves),
-                TextTable::Cell(replications),
-                TextTable::Cell(after.wall_seconds * 1e3, 2)});
+                TextTable::Cell(replications)});
   table.Print();
 
   std::printf("\nper-worker firings (off):");
@@ -147,28 +144,14 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(moves),
       static_cast<unsigned long long>(replications));
 
-  json.NewRecord()
-      .Set("processors", P)
-      .Set("nodes", nodes)
-      .Set("edges", static_cast<uint64_t>(inserted))
-      .Set("zipf_exponent", exponent)
-      .Set("skew_ratio_before", skew_before)
-      .Set("skew_ratio_after", skew_after)
-      .Set("skew_reduction", skew_drop)
-      .Set("makespan_before", makespan_before)
-      .Set("makespan_after", makespan_after)
-      .Set("makespan_reduction", makespan_drop)
-      .Set("moves", moves)
-      .Set("replications", replications)
-      .Set("epochs", after.metrics.counter("rebalance.rounds"))
-      .Set("wall_ms_before", before.wall_seconds * 1e3)
-      .Set("wall_ms_after", after.wall_seconds * 1e3)
-      .Set("fixpoint_identical", identical)
-      .Set("skew_improved", improved);
-  json.WriteFile();
-
   if (!identical) {
     std::fprintf(stderr, "FIXPOINT MISMATCH: rebalancing changed results\n");
+    return 1;
+  }
+  if (!improved) {
+    std::fprintf(stderr,
+                 "SKEW NOT IMPROVED: need -%.0f%% skew and -%.0f%% makespan\n",
+                 skew_bar * 100.0, makespan_bar * 100.0);
     return 1;
   }
   return 0;

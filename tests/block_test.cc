@@ -562,6 +562,41 @@ TEST(BlockExactnessTest, FaultMatrixStaysExactInBlockMode) {
   }
 }
 
+// The block protocol's payoff, on a deterministic schedule: the cross
+// traffic is fixed by the scheme, so the threshold may only change how
+// it is framed — one frame per tuple at 1, strictly fewer frames as the
+// threshold grows.
+TEST(BlockBatchingTest, FramesShrinkWhileCrossTuplesHold) {
+  for (AncestorScheme scheme :
+       {AncestorScheme::kExample2, AncestorScheme::kExample3}) {
+    auto setup = MakeAncestorSetup();
+    GenRandomGraph(&setup->symbols, &setup->edb, "par", 60, 180, 11);
+    RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, 4);
+    const bool broadcast = scheme == AncestorScheme::kExample2;
+    std::vector<uint64_t> frames;
+    uint64_t cross_tuples = 0;
+    for (int block_tuples : {1, 8, 256}) {
+      ParallelOptions options;
+      options.block_tuples = block_tuples;
+      options.use_threads = false;  // deterministic round-robin schedule
+      StatusOr<ParallelResult> result =
+          RunParallel(bundle, &setup->edb, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      if (block_tuples == 1) {
+        cross_tuples = result->cross_tuples;
+        EXPECT_GT(cross_tuples, 0u) << "broadcast=" << broadcast;
+        EXPECT_EQ(result->cross_frames, result->cross_tuples)
+            << "broadcast=" << broadcast;
+      }
+      EXPECT_EQ(result->cross_tuples, cross_tuples)
+          << "broadcast=" << broadcast << " block=" << block_tuples;
+      frames.push_back(result->cross_frames);
+    }
+    EXPECT_GT(frames[0], frames[1]) << "broadcast=" << broadcast;
+    EXPECT_GT(frames[1], frames[2]) << "broadcast=" << broadcast;
+  }
+}
+
 TEST(BlockExactnessTest, RejectsOutOfRangeThreshold) {
   auto setup = MakeAncestorSetup();
   GenChain(&setup->symbols, &setup->edb, "par", 4);
