@@ -86,7 +86,6 @@ int main(int argc, char** argv) {
   // cooldown still prevents thrash, and the coordinator stops on its own
   // once skew falls under the threshold.
   on.rebalance.skew_threshold = 1.3;
-  on.rebalance.min_window_busy_ns = 100'000;
   ParallelResult after = h.RunScheme(base, scheme, P, on);
 
   const double skew_before = FiringsSkew(before);

@@ -1,8 +1,8 @@
 // The abstract architecture of Section 3: reliable point-to-point
-// channels `ij` between every pair of processors, realized in shared
-// memory. "If a processor i puts some data in channel ij, then processor
-// j (and no other processor) receives this data without error within
-// some finite time."
+// channels `ij` between every pair of processors, realized "by either
+// shared memory or message passing". "If a processor i puts some data in
+// channel ij, then processor j (and no other processor) receives this
+// data without error within some finite time."
 //
 // The unit of communication is a *block*: a run of same-predicate tuples
 // accumulated by the sender and shipped as one frame — one header, one
@@ -11,20 +11,25 @@
 // so the Mattern termination counters and the channel matrix keep their
 // paper semantics; frames are tracked separately.
 //
-// A channel moves frames through one mutex-guarded pair of queues: one
-// for TupleBlocks (shared memory) and one for encoded byte frames
-// (message passing, core/wire.h). Senders append under the lock; the
-// receiver drains the whole backlog under one lock acquisition.
+// A channel moves one frame type, TupleBlock, through one mutex-guarded
+// queue. The realization only decides how a frame is represented: a
+// shared-memory frame carries its tuples in `values`, a message-passing
+// frame carries the encoded block (core/wire.h) in `wire` instead.
+// Senders append under the lock; the receiver drains the whole backlog
+// under one lock acquisition.
 //
 // The reliability assumption is exactly that — an assumption — so the
 // channel also supports a deterministic fault-injection mode
 // (core/fault.h) that violates it on purpose, and an optional
 // at-least-once retransmit protocol (per-channel sequence numbers,
 // receiver-side dedup and in-order delivery, sender-side resend of
-// unacknowledged frames) that restores it. Both are opt-in and run on
-// seq-stamped slow-path queues under the same mutex. Faults and
-// sequence numbers apply per block: a dropped block loses all its
-// tuples, one retransmission recovers all of them.
+// unacknowledged frames) that restores it. Both are opt-in and run on a
+// seq-stamped slow-path queue under the same mutex. Faults and
+// sequence numbers apply per frame: a dropped block loses all its
+// tuples, one retransmission recovers all of them. Only two steps look
+// at the representation: a corrupt fault flips a byte of a frame that
+// has `wire` bytes (object frames have none and arrive intact), and the
+// reliable receiver discards such a frame when its checksum fails.
 #ifndef PDATALOG_CORE_CHANNEL_H_
 #define PDATALOG_CORE_CHANNEL_H_
 
@@ -78,13 +83,16 @@ constexpr size_t BlockWireBytes(int arity, uint32_t count) {
 // accumulate row-major (append order) and the wire encoder transposes
 // to the columnar layout; decoded blocks keep the wire's column-major
 // layout (`columnar` set) so the receive path can append them to the
-// column store without ever re-rowifying.
+// column store without ever re-rowifying. A message-passing frame keeps
+// the header fields, leaves `values` empty and carries the encoded
+// block in `wire`.
 struct TupleBlock {
   Symbol predicate = 0;
   int arity = 0;
   uint32_t count = 0;
   bool columnar = false;      // layout of `values`; false = row-major
   std::vector<Value> values;  // count * arity
+  std::vector<uint8_t> wire;  // encoded frame; empty for object frames
 
   void Append(const Value* vals, int n) {
     assert(!columnar);
@@ -123,24 +131,17 @@ class Channel {
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  // Enqueues one block as one frame: one publication, one sequence
-  // number, one fault-injection decision for all `block.count` tuples.
-  void SendBlock(TupleBlock block);
+  // Enqueues one frame: one publication, one sequence number, one
+  // fault-injection decision for all `frame.count` tuples.
+  void Send(TupleBlock frame);
 
-  // Moves all pending (deliverable) blocks into `out` (appending).
+  // Moves all pending (deliverable) frames into `out` (appending).
   // Returns the number of *tuples* drained — in retransmit mode this
-  // counts only newly delivered logical tuples, never duplicates.
-  size_t DrainBlocks(std::vector<TupleBlock>* out);
-
-  // Serialized (message-passing) mode: enqueue one encoded block frame
-  // carrying `tuples` tuples.
-  void SendBytes(std::vector<uint8_t> bytes, uint32_t tuples);
-
-  // Drains all deliverable encoded frames (appending). Returns the
-  // number of frames drained. In retransmit mode, frames whose checksum
-  // the injector broke are discarded here (and later retransmitted by
-  // the sender) instead of being surfaced.
-  size_t DrainBytes(std::vector<std::vector<uint8_t>>* out);
+  // counts only newly delivered logical tuples, never duplicates. In
+  // retransmit mode, encoded frames whose checksum the injector broke
+  // are discarded here (and later retransmitted by the sender) instead
+  // of being surfaced.
+  size_t Drain(std::vector<TupleBlock>* out);
 
   // Whether anything is drainable now or will become drainable without
   // sender action (delayed frames count; out-of-order frames held back
@@ -228,32 +229,23 @@ class Channel {
     uint64_t deliver_next = 0;  // receiver: next in-order seq (= ack)
     uint64_t drain_calls = 0;   // receiver: poll clock for delays
 
-    // Seq-stamped in-flight queues (the slow path bypasses the
-    // fast-path queues entirely).
+    // Seq-stamped in-flight queue (the slow path bypasses the
+    // fast-path queue entirely).
     std::vector<std::pair<uint64_t, TupleBlock>> queue;
-    std::vector<std::pair<uint64_t, std::vector<uint8_t>>> byte_queue;
 
     // Delayed frames, released once drain_calls reaches release_at.
-    struct DelayedBlock {
+    struct Delayed {
       uint64_t seq;
-      TupleBlock block;
+      TupleBlock frame;
       uint64_t release_at;
     };
-    struct DelayedBytes {
-      uint64_t seq;
-      std::vector<uint8_t> bytes;
-      uint64_t release_at;
-    };
-    std::vector<DelayedBlock> delayed;
-    std::vector<DelayedBytes> delayed_bytes;
+    std::vector<Delayed> delayed;
 
     // Receiver: frames ahead of a gap (reliable mode only).
     std::map<uint64_t, TupleBlock> ahead;
-    std::map<uint64_t, std::vector<uint8_t>> ahead_bytes;
 
     // Sender: copies awaiting acknowledgement (reliable mode only).
     std::deque<std::pair<uint64_t, TupleBlock>> unacked;
-    std::deque<std::pair<uint64_t, std::vector<uint8_t>>> unacked_bytes;
 
     FaultCounters counters;
   };
@@ -268,25 +260,18 @@ class Channel {
   void NoteFlowSend(uint64_t frame);
   void NoteFlowRecv(size_t frames);
   // Seq-stamping/fault-injecting slow path (mutex_ held). Accounting
-  // (total_sent_/total_bytes_/total_frames_) happens in the public
-  // callers, before the block is visible to the receiver.
-  void EnqueueBlockLocked(TupleBlock block);
-  void SendBytesLocked(std::vector<uint8_t> bytes);
-  size_t DrainBlocksLocked(std::vector<TupleBlock>* out);
-  size_t DrainBytesLocked(std::vector<std::vector<uint8_t>>* out);
-  bool HasPendingLocked() const;
+  // (total_sent_/total_bytes_/total_frames_) happens in Send, before
+  // the frame is visible to the receiver.
+  void EnqueueLocked(TupleBlock frame);
+  void DrainLocked(std::vector<TupleBlock>* out);
   void ReleaseMatureLocked();
   // Delivers one in-order frame and flushes any directly following
-  // frames buffered in ahead/ahead_bytes.
-  void DeliverBlockLocked(TupleBlock block, std::vector<TupleBlock>* out);
-  void DeliverBytesLocked(std::vector<uint8_t> bytes,
-                          std::vector<std::vector<uint8_t>>* out,
-                          size_t* delivered);
+  // frames buffered in `ahead`.
+  void DeliverLocked(TupleBlock frame, std::vector<TupleBlock>* out);
 
-  mutable std::mutex mutex_;  // the queues below and Extras state
-  // Fast-path queues (no faults, no retransmit), FIFO and lossless.
+  mutable std::mutex mutex_;  // the queue below and Extras state
+  // Fast-path queue (no faults, no retransmit), FIFO and lossless.
   std::vector<TupleBlock> queue_;
-  std::vector<std::vector<uint8_t>> byte_queue_;
   std::unique_ptr<Extras> fx_;
   TraceRing* recv_trace_ = nullptr;  // receiver's ring (drain instants)
   TraceRing* send_trace_ = nullptr;  // sender's ring (flow sends)
@@ -295,7 +280,7 @@ class Channel {
   uint64_t delivered_frames_ = 0;  // fast-path frames drained so far
   std::atomic<uint64_t> total_sent_{0};    // tuples
   std::atomic<uint64_t> total_bytes_{0};   // wire bytes
-  std::atomic<uint64_t> total_frames_{0};  // frames (blocks or encoded)
+  std::atomic<uint64_t> total_frames_{0};  // frames
 };
 
 // The full P x P channel matrix. channel(i, j) carries data from

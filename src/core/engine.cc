@@ -150,7 +150,7 @@ StatusOr<int> ResolveRebalanceFunction(const RewriteBundle& bundle,
                                        const RebalanceOptions& opts) {
   if (opts.skew_threshold < 1.0) {
     return Status::InvalidArgument(
-        "rebalance skew threshold must be >= 1 (max/mean busy is never "
+        "rebalance skew threshold must be >= 1 (max/mean load is never "
         "below 1)");
   }
   if (opts.buckets_per_processor < 1 ||
@@ -268,7 +268,7 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     if (!managed.ok()) return managed.status();
     rebalance = std::make_unique<RebalanceCoordinator>(
         bundle.registry.get(), *managed, bundle.num_processors,
-        options.rebalance, options.serialize_messages);
+        options.rebalance);
   }
 
   StatusOr<PartitionResult> partition = PartitionBases(bundle, *edb);

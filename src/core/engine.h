@@ -119,8 +119,6 @@ struct ParallelResult {
 
   // Work-model makespan: max over processors of
   //   firings_i * cpu_cost + (received_cross_i) * net_cost.
-  // The container this reproduction runs on is single-core, so modeled
-  // makespan (not wall time) is the scaling metric (see DESIGN.md).
   double ModeledMakespan(double cpu_cost, double net_cost) const;
 };
 

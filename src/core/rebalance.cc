@@ -2,97 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "core/cost_model.h"
 
 namespace pdatalog {
-
-namespace {
-
-constexpr uint32_t kFrameMagic = 0x5242414cu;  // "RBAL"
-
-uint32_t Fnv1a(const uint8_t* data, size_t size) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 16777619u;
-  }
-  return h;
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  PutU32(out, static_cast<uint32_t>(v));
-  PutU32(out, static_cast<uint32_t>(v >> 32));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 |
-         static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  return static_cast<uint64_t>(GetU32(p)) |
-         static_cast<uint64_t>(GetU32(p + 4)) << 32;
-}
-
-}  // namespace
-
-void EncodeControlFrame(const RemapControlFrame& frame,
-                        std::vector<uint8_t>* out) {
-  out->clear();
-  PutU32(out, kFrameMagic);
-  PutU64(out, frame.epoch);
-  PutU32(out, static_cast<uint32_t>(frame.function));
-  PutU32(out, frame.num_buckets);
-  PutU32(out, static_cast<uint32_t>(frame.overrides.size()));
-  for (const auto& [bucket, dest] : frame.overrides) {
-    PutU32(out, bucket);
-    PutU32(out, static_cast<uint32_t>(dest));
-  }
-  PutU32(out, Fnv1a(out->data(), out->size()));
-}
-
-Status DecodeControlFrame(const uint8_t* data, size_t size,
-                          RemapControlFrame* frame) {
-  // magic + epoch + function + num_buckets + count + checksum.
-  constexpr size_t kHeader = 4 + 8 + 4 + 4 + 4;
-  if (size < kHeader + 4) {
-    return Status::InvalidArgument("control frame truncated");
-  }
-  if (GetU32(data) != kFrameMagic) {
-    return Status::InvalidArgument("control frame has bad magic");
-  }
-  uint32_t count = GetU32(data + 20);
-  size_t expect = kHeader + static_cast<size_t>(count) * 8 + 4;
-  if (size != expect) {
-    return Status::InvalidArgument(
-        "control frame size does not match its override count");
-  }
-  uint32_t stored = GetU32(data + size - 4);
-  if (Fnv1a(data, size - 4) != stored) {
-    return Status::InvalidArgument("control frame checksum mismatch");
-  }
-  frame->epoch = GetU64(data + 4);
-  frame->function = static_cast<int32_t>(GetU32(data + 12));
-  frame->num_buckets = GetU32(data + 16);
-  frame->overrides.clear();
-  frame->overrides.reserve(count);
-  const uint8_t* p = data + kHeader;
-  for (uint32_t i = 0; i < count; ++i, p += 8) {
-    frame->overrides.emplace_back(GetU32(p),
-                                  static_cast<int32_t>(GetU32(p + 4)));
-  }
-  return Status::Ok();
-}
 
 // --- RemapView ---
 
@@ -185,17 +98,16 @@ void RemapView::ResetBucketCounts() {
 
 RebalanceCoordinator::RebalanceCoordinator(
     const DiscriminatingRegistry* registry, int function, int num_processors,
-    const RebalanceOptions& options, bool serialize_frames)
+    const RebalanceOptions& options)
     : registry_(registry),
       function_(function),
       num_processors_(num_processors),
-      options_(options),
-      serialize_frames_(serialize_frames) {
+      options_(options) {
   num_buckets_ = options_.buckets_per_processor *
                  static_cast<uint32_t>(num_processors_);
   acks_.assign(num_processors_, 0);
   window_reports_.assign(num_processors_, 0);
-  busy_.assign(num_processors_, 0);
+  fired_.assign(num_processors_, 0);
   counts_.assign(num_buckets_, 0);
   sender_seen_.assign(static_cast<size_t>(num_buckets_) * num_processors_, 0);
   owner_.resize(num_buckets_);
@@ -231,10 +143,8 @@ void RebalanceCoordinator::Sync(int worker, RemapView* view) {
   }
 }
 
-void RebalanceCoordinator::ReportWindow(int worker, uint64_t busy_ns,
-                                        RemapView* view) {
+void RebalanceCoordinator::ReportWindow(int worker, RemapView* view) {
   std::lock_guard<std::mutex> lock(mu_);
-  busy_[worker] += busy_ns;
   ++window_reports_[worker];
   const std::vector<uint64_t>& routed = view->bucket_counts();
   const std::vector<uint64_t>& heat = view->bucket_heat();
@@ -248,6 +158,7 @@ void RebalanceCoordinator::ReportWindow(int worker, uint64_t busy_ns,
     // happened; deltas times fan-in), with routed tuples as the
     // tiebreaker so never-fired buckets still register.
     counts_[b] += heat[b] + routed[b];
+    fired_[worker] += heat[b];
   }
   view->ResetBucketCounts();
   ++windows_;
@@ -255,23 +166,24 @@ void RebalanceCoordinator::ReportWindow(int worker, uint64_t busy_ns,
 }
 
 void RebalanceCoordinator::TryDecide() {
+  // The straggler is the worker that performed the most firings. Counts
+  // of work done, not busy time, so the same schedule makes the same
+  // decisions; and counts the worker reported itself, not its buckets'
+  // totals, since a moved bucket's in-flight tuples still fire at the
+  // old owner until the new routing epoch commits.
   uint64_t total = 0;
-  uint64_t max_busy = 0;
-  int straggler = -1;
+  int straggler = 0;
   for (int i = 0; i < num_processors_; ++i) {
     // Never compare a partial cycle: a worker that has not reported
     // since the last reset dilutes the mean and fakes a huge skew.
     if (window_reports_[i] == 0) return;
-    total += busy_[i];
-    if (busy_[i] > max_busy) {
-      max_busy = busy_[i];
-      straggler = i;
-    }
+    total += fired_[i];
+    if (fired_[i] > fired_[straggler]) straggler = i;
   }
-  if (straggler < 0 || total < options_.min_window_busy_ns) return;
+  if (total == 0) return;
   double mean =
       static_cast<double>(total) / static_cast<double>(num_processors_);
-  double skew = static_cast<double>(max_busy) / mean;
+  double skew = static_cast<double>(fired_[straggler]) / mean;
   if (skew < options_.skew_threshold) return;
 
   // Hottest bucket still owned by the straggler and past its cooldown.
@@ -299,8 +211,7 @@ void RebalanceCoordinator::TryDecide() {
 
   // Attribute the window's bucket weights to their owners to find the
   // forwarding target (least-loaded worker) and the headroom a forward
-  // can actually exploit. Weight, not busy time: busy includes drain and
-  // flush noise, while the weights are exactly the firings + routed
+  // can actually exploit: the weights are exactly the firings + routed
   // tuples the move would reassign.
   std::vector<uint64_t> weight(static_cast<size_t>(num_processors_), 0);
   for (uint32_t b = 0; b < num_buckets_; ++b) {
@@ -342,35 +253,13 @@ void RebalanceCoordinator::TryDecide() {
   entry.tuples = best_count;
   entry.skew = skew;
   log_.push_back(entry);
-  Publish();
 
   // Start the next observation window from scratch so later decisions
   // reflect the post-move distribution, not stale history.
   std::fill(window_reports_.begin(), window_reports_.end(), 0);
-  std::fill(busy_.begin(), busy_.end(), 0);
+  std::fill(fired_.begin(), fired_.end(), 0);
   std::fill(counts_.begin(), counts_.end(), 0);
   std::fill(sender_seen_.begin(), sender_seen_.end(), 0);
-}
-
-void RebalanceCoordinator::Publish() {
-  RemapControlFrame frame;
-  frame.epoch = published_epoch_;
-  frame.function = function_;
-  frame.num_buckets = num_buckets_;
-  frame.overrides = overrides_;
-  EncodeControlFrame(frame, &frame_bytes_);
-  if (serialize_frames_) {
-    // The in-process "broadcast" is the shared override list; with
-    // serialized messages on, round-trip the frame the way a real
-    // network would carry it so the wire format is exercised every
-    // epoch.
-    RemapControlFrame decoded;
-    Status s =
-        DecodeControlFrame(frame_bytes_.data(), frame_bytes_.size(), &decoded);
-    assert(s.ok() && decoded.epoch == frame.epoch &&
-           decoded.overrides.size() == frame.overrides.size());
-    (void)s;
-  }
 }
 
 }  // namespace pdatalog

@@ -1,14 +1,16 @@
 // Skew-adaptive repartitioning (Section 6 trade-off, made dynamic).
 //
-// PR 5's profiler measures per-worker busy time and names the straggler;
-// this layer acts on it. Between semi-naive rounds every worker reports
-// its busy window and per-bucket routed-tuple counts to a shared
-// RebalanceCoordinator. When the cumulative busy skew (max/mean) crosses
-// a threshold, the coordinator picks the hottest discriminating-hash
-// bucket owned by the straggler and publishes a bucket override: either
-// forward the bucket to the least-busy worker, or — when the cost model
-// says replication beats forwarding (Section 6's redundancy point) —
-// keep the bucket local at every sender (kKeepLocalDest).
+// Between semi-naive rounds every worker reports its per-bucket work —
+// join firings charged to the bucket plus tuples routed into it — to a
+// shared RebalanceCoordinator. When the skew (max/mean) of the firings
+// the workers performed crosses a threshold, the coordinator picks the
+// hottest discriminating-hash bucket owned by the straggler and
+// publishes a bucket override: either forward the bucket to the least
+// loaded owner, or — when the cost model says replication beats
+// forwarding (Section 6's redundancy point) — keep the bucket local at
+// every sender (kKeepLocalDest). Every input is a count, not a clock
+// reading, so under a deterministic schedule the decisions repeat
+// exactly from run to run.
 //
 // Overrides are distributed as epochs of a kRemapped overlay
 // (DiscriminatingFunction::Remapped) with a two-phase handshake that
@@ -30,9 +32,7 @@
 // The handshake piggybacks on the existing round structure (workers call
 // Sync() at the top of every Step and while idling), so Mattern's
 // termination counters and the retransmit protocol are untouched: control
-// state never rides the counted tuple channels. The override payload is
-// still exercised as a wire control frame (Encode/DecodeControlFrame)
-// whenever the engine runs with serialized messages.
+// state never rides the counted tuple channels.
 #ifndef PDATALOG_CORE_REBALANCE_H_
 #define PDATALOG_CORE_REBALANCE_H_
 
@@ -44,13 +44,13 @@
 
 #include "core/discriminating.h"
 #include "obs/analyze.h"
-#include "util/status.h"
 
 namespace pdatalog {
 
 // Tuning knobs for the coordinator. Disabled unless skew_threshold > 0.
 struct RebalanceOptions {
-  // Trigger when max busy / mean busy >= this. 0 disables rebalancing;
+  // Trigger when max / mean of the firings each worker performed since
+  // the last decision reaches this. 0 disables rebalancing;
   // enabled values must be >= 1 (a ratio below 1 is impossible).
   double skew_threshold = 0.0;
 
@@ -59,12 +59,8 @@ struct RebalanceOptions {
   // routes exactly where the base hash would.
   uint32_t buckets_per_processor = 32;
 
-  // Don't decide until the workers have accumulated at least this much
-  // busy time since the last decision (debounces startup noise).
-  uint64_t min_window_busy_ns = 1'000'000;
-
-  // Ignore buckets that routed fewer tuples than this since the last
-  // decision; moving a cold bucket cannot help.
+  // Ignore buckets with less work than this since the last decision;
+  // moving a cold bucket cannot help, and a cold window decides nothing.
   uint64_t min_bucket_tuples = 16;
 
   // After a bucket moves, leave it alone for this many full report
@@ -80,21 +76,6 @@ struct RebalanceOptions {
 
   bool enabled() const { return skew_threshold > 0.0; }
 };
-
-// One broadcast of the full override state, as it would travel on the
-// wire: u32 magic | u64 epoch | i32 function | u32 num_buckets |
-// u32 count | count x (u32 bucket, i32 dest) | u32 FNV-1a checksum.
-struct RemapControlFrame {
-  uint64_t epoch = 0;
-  int32_t function = -1;
-  uint32_t num_buckets = 0;
-  std::vector<std::pair<uint32_t, int32_t>> overrides;
-};
-
-void EncodeControlFrame(const RemapControlFrame& frame,
-                        std::vector<uint8_t>* out);
-Status DecodeControlFrame(const uint8_t* data, size_t size,
-                          RemapControlFrame* frame);
 
 // Per-worker view of the managed discriminating function. Implements
 // ConstraintEvaluator so it can stand in for the shared registry at both
@@ -172,8 +153,7 @@ class RemapView : public ConstraintEvaluator {
 class RebalanceCoordinator {
  public:
   RebalanceCoordinator(const DiscriminatingRegistry* registry, int function,
-                       int num_processors, const RebalanceOptions& options,
-                       bool serialize_frames);
+                       int num_processors, const RebalanceOptions& options);
 
   int function() const { return function_; }
   uint32_t num_buckets() const { return num_buckets_; }
@@ -186,10 +166,10 @@ class RebalanceCoordinator {
   // worker has acknowledged, and installs committed routing.
   void Sync(int worker, RemapView* view);
 
-  // Reports one processing round: busy nanoseconds plus the view's
-  // per-bucket routed counts (which are consumed and reset). May trigger
-  // a decision and publish a new epoch.
-  void ReportWindow(int worker, uint64_t busy_ns, RemapView* view);
+  // Reports one processing round: the view's per-bucket firings and
+  // routed counts (which are consumed and reset). May trigger a decision
+  // and publish a new epoch.
+  void ReportWindow(int worker, RemapView* view);
 
   // --- post-run accessors (call after all workers stopped) ---
   uint64_t moves() const { return moves_; }
@@ -197,17 +177,14 @@ class RebalanceCoordinator {
   uint64_t epochs() const { return published_epoch_; }
   uint64_t windows() const { return windows_; }
   std::vector<RebalanceLogEntry> TakeLog() { return std::move(log_); }
-  const std::vector<uint8_t>& last_frame() const { return frame_bytes_; }
 
  private:
   void TryDecide();  // caller holds mu_
-  void Publish();    // caller holds mu_
 
   const DiscriminatingRegistry* registry_;
   const int function_;
   const int num_processors_;
   const RebalanceOptions options_;
-  const bool serialize_frames_;
   uint32_t num_buckets_;
 
   mutable std::mutex mu_;
@@ -219,11 +196,11 @@ class RebalanceCoordinator {
 
   // Accumulators since the last decision. A decision is only considered
   // once every worker has reported at least one window since the last
-  // reset — a partial cycle would compare one worker's busy time against
+  // reset — a partial cycle would compare one worker's firings against
   // a mean diluted by workers that have not reported yet and read as
   // enormous skew.
   std::vector<uint32_t> window_reports_;  // per worker, since last reset
-  std::vector<uint64_t> busy_;
+  std::vector<uint64_t> fired_;  // per worker: firings in managed buckets
   std::vector<uint64_t> counts_;       // per bucket
   std::vector<uint8_t> sender_seen_;   // bucket * P + worker
   std::vector<int32_t> owner_;         // per bucket; kKeepLocalDest = replicated
@@ -233,7 +210,6 @@ class RebalanceCoordinator {
   uint64_t moves_ = 0;
   uint64_t replications_ = 0;
   std::vector<RebalanceLogEntry> log_;
-  std::vector<uint8_t> frame_bytes_;  // latest encoded control frame
 };
 
 }  // namespace pdatalog

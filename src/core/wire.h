@@ -1,10 +1,11 @@
 // Block serialization: the paper's abstract architecture may be
 // realized "by either shared memory or message passing" (Section 3).
 // The default channels move TupleBlock objects through shared memory;
-// in serialized mode every block is encoded to one byte frame on send
-// and decoded on receive, proving nothing in the engine depends on
-// shared address space (beyond the read-only symbol table, which a real
-// deployment would replicate).
+// in serialized mode every block is encoded to one byte frame on send,
+// carried in the TupleBlock's `wire` field through the same channel
+// queue, and decoded on receive, proving nothing in the engine depends
+// on shared address space (beyond the read-only symbol table, which a
+// real deployment would replicate).
 //
 // Block frame (little-endian), sizes defined once in core/channel.h:
 //   u32 predicate id | u16 (kBlockArityFlag | arity) | u32 count |

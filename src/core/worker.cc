@@ -7,7 +7,6 @@
 
 #include "core/wire.h"
 #include "obs/trace.h"
-#include "util/stopwatch.h"
 
 namespace pdatalog {
 
@@ -190,38 +189,29 @@ StatusOr<size_t> Worker::DrainChannels() {
   size_t total = 0;
   size_t frames = 0;
   for (int j = 0; j < num_processors_; ++j) {
-    Channel& channel = network_->channel(j, id_);
-    block_buffer_.clear();
-    channel.DrainBlocks(&block_buffer_);
-    frames += block_buffer_.size();
-    for (const TupleBlock& block : block_buffer_) {
-      StatusOr<size_t> n = IngestBlock(block, j);
+    frame_buffer_.clear();
+    network_->channel(j, id_).Drain(&frame_buffer_);
+    frames += frame_buffer_.size();
+    for (const TupleBlock& frame : frame_buffer_) {
+      // A message-passing frame carries one encoded block; decoding it
+      // keeps the receive counter in decoded tuples, matching the
+      // block-granular CountSend(n) on the send side.
+      const TupleBlock* block = &frame;
+      if (!frame.wire.empty()) {
+        size_t offset = 0;
+        Status decoded = DecodeBlockInto(frame.wire, &offset, &decode_block_);
+        if (!decoded.ok()) {
+          return Status(decoded.code(),
+                        "worker " + std::to_string(id_) +
+                            ": bad frame on channel " + std::to_string(j) +
+                            "->" + std::to_string(id_) + ": " +
+                            decoded.message());
+        }
+        block = &decode_block_;
+      }
+      StatusOr<size_t> n = IngestBlock(*block, j);
       if (!n.ok()) return n.status();
       total += *n;
-    }
-    if (serialize_messages_) {
-      byte_buffer_.clear();
-      channel.DrainBytes(&byte_buffer_);
-      frames += byte_buffer_.size();
-      // Count decoded tuples, not drained frames: the termination
-      // detector's receive counter must agree with the block-granular
-      // CountSend(n) on the send side.
-      for (const std::vector<uint8_t>& bytes : byte_buffer_) {
-        size_t offset = 0;
-        while (offset < bytes.size()) {
-          Status decoded = DecodeBlockInto(bytes, &offset, &decode_block_);
-          if (!decoded.ok()) {
-            return Status(decoded.code(),
-                          "worker " + std::to_string(id_) +
-                              ": bad frame on channel " + std::to_string(j) +
-                              "->" + std::to_string(id_) + ": " +
-                              decoded.message());
-          }
-          StatusOr<size_t> n = IngestBlock(decode_block_, j);
-          if (!n.ok()) return n.status();
-          total += *n;
-        }
-      }
     }
   }
   // Queue depth observed by this drain (frames across all inbound
@@ -245,27 +235,31 @@ void Worker::FlushBlock(int dest, TupleBlock* block) {
   // (Mattern's rule), in one detector call instead of one per tuple.
   detector_->CountSend(id_, block->count);
   ++stats_.frames;
-  Channel& channel = network_->channel(id_, dest);
+  TupleBlock frame;
   if (serialize_messages_) {
-    std::vector<uint8_t> bytes;
+    // Message passing: the frame keeps the header fields and carries the
+    // encoding; the accumulation buffer stays here for the next cycle.
+    frame.predicate = block->predicate;
+    frame.arity = block->arity;
+    frame.count = block->count;
     Status encoded;
     {
       TraceScope enc(trace_, TracePhase::kEncode, block->count);
-      encoded = EncodeBlock(*block, &bytes);
+      encoded = EncodeBlock(*block, &frame.wire);
     }
     if (!encoded.ok()) {
       // Plan validation rejects arity > kMaxWireArity up front, so
-      // this is defensive. The block is not enqueued; the latched
+      // this is defensive. The frame is not enqueued; the latched
       // status aborts the run before quiescence is ever declared.
       if (send_status_.ok()) send_status_ = std::move(encoded);
       block->Reset();
       return;
     }
-    channel.SendBytes(std::move(bytes), block->count);
   } else {
-    channel.SendBlock(std::move(*block));
+    frame = std::move(*block);
   }
   block->Reset();
+  network_->channel(id_, dest).Send(std::move(frame));
 }
 
 void Worker::FlushSends() {
@@ -354,7 +348,6 @@ StatusOr<bool> Worker::Step() {
   // Only a drain appends to t_in, so without one there is no delta.
   if (*got == 0) return false;
 
-  Stopwatch round_watch;
   const uint32_t round = static_cast<uint32_t>(++stats_.rounds);
   if (trace_ != nullptr) trace_->Instant(TracePhase::kRound, round);
   BeginRoundLog(*got);
@@ -365,9 +358,7 @@ StatusOr<bool> Worker::Step() {
   }
   SendOutputs();
   if (rebalance_ != nullptr) {
-    rebalance_->ReportWindow(
-        id_, static_cast<uint64_t>(round_watch.ElapsedSeconds() * 1e9),
-        remap_view_.get());
+    rebalance_->ReportWindow(id_, remap_view_.get());
   }
   if (!send_status_.ok()) return send_status_;
   return true;

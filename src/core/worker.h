@@ -74,8 +74,8 @@ class Worker {
   // `rebalance`, when non-null, enables skew-adaptive repartitioning:
   // the worker routes and accepts through a per-worker RemapView of the
   // coordinator's managed function, syncs override epochs at every Step
-  // and idle poll, and reports busy windows after each processing
-  // round. All pointers must outlive the worker.
+  // and idle poll, and reports its per-bucket work after each
+  // processing round. All pointers must outlive the worker.
   static StatusOr<std::unique_ptr<Worker>> Create(
       const RewriteBundle* bundle, int id, const Database* edb,
       std::unordered_map<int, std::unique_ptr<Relation>> fragments,
@@ -222,8 +222,7 @@ class Worker {
   // inside SendNewRows, so the error is latched here and surfaced by
   // the next Step()/Init() return.
   Status send_status_;
-  std::vector<std::vector<uint8_t>> byte_buffer_;  // scratch for drains
-  std::vector<TupleBlock> block_buffer_;           // scratch for drains
+  std::vector<TupleBlock> frame_buffer_;  // scratch for drains
   TupleBlock decode_block_;  // reusable decode target (serialized mode)
   // Outgoing accumulation blocks, indexed [dest * num_derived + slot].
   // Blocks keep their buffer capacity across rounds.

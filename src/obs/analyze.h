@@ -30,7 +30,7 @@ namespace pdatalog {
 // window `window`, bucket `bucket` of discriminating function `function`
 // was taken from straggler `from` and either forwarded to worker `to` or
 // replicated (`to` == -1, every sender keeps its share local). `skew`
-// is the busy-time max/mean ratio that triggered the decision. Defined
+// is the max/mean ratio of per-worker firings that triggered it. Defined
 // here, not in core, so the profile report can render the decision log
 // without src/obs/ growing a core dependency.
 struct RebalanceLogEntry {

@@ -21,6 +21,7 @@ namespace {
 
 using testing_util::AncestorScheme;
 using testing_util::DumpOutput;
+using testing_util::EncodedFrame;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
 using testing_util::SequentialAncestor;
@@ -367,12 +368,12 @@ TEST(InsertBlockTest, DuplicatesSplitAcrossTwoReceivedBlocks) {
 
 TEST(BlockChannelTest, BlockIsOneFrameManyTuples) {
   Channel channel;
-  channel.SendBlock(MakeBlock(1, 2, 10));
+  channel.Send(MakeBlock(1, 2, 10));
   EXPECT_EQ(channel.total_sent(), 10u);
   EXPECT_EQ(channel.total_frames(), 1u);
   EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 10));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 10u);
+  EXPECT_EQ(channel.Drain(&out), 10u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].count, 10u);
 }
@@ -382,9 +383,9 @@ TEST(BlockChannelTest, DropLosesTheWholeBlock) {
   FaultSpec spec;
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(MakeBlock(1, 2, 8));
+  channel.Send(MakeBlock(1, 2, 8));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
+  EXPECT_EQ(channel.Drain(&out), 0u);
   // One injector decision per frame: 8 tuples lost, 1 drop counted.
   EXPECT_EQ(channel.fault_counters().dropped, 1u);
   // Logical sends stay tuple-granular for the termination detector.
@@ -398,11 +399,11 @@ TEST(BlockChannelTest, OneRetransmitRecoversTheWholeBlock) {
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
   TupleBlock block = MakeBlock(1, 2, 8);
-  channel.SendBlock(block);
+  channel.Send(block);
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
+  EXPECT_EQ(channel.Drain(&out), 0u);
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  EXPECT_EQ(channel.DrainBlocks(&out), 8u);
+  EXPECT_EQ(channel.Drain(&out), 8u);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].values, block.values);
 }
@@ -413,10 +414,10 @@ TEST(BlockChannelTest, DuplicatedBlockDiscardedOnceReliable) {
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.SendBlock(MakeBlock(1, 2, 4));
-  channel.SendBlock(MakeBlock(1, 2, 3));
+  channel.Send(MakeBlock(1, 2, 4));
+  channel.Send(MakeBlock(1, 2, 3));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 7u);  // each block delivered once
+  EXPECT_EQ(channel.Drain(&out), 7u);  // each block delivered once
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(channel.fault_counters().duplicates_discarded, 2u);
 }
@@ -428,21 +429,20 @@ TEST(BlockChannelTest, CorruptedSerializedBlockDiscardedThenRecovered) {
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
   TupleBlock block = MakeBlock(1, 2, 6);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  channel.SendBytes(bytes, block.count);
+  channel.Send(EncodedFrame(block));
   EXPECT_EQ(channel.total_sent(), 6u);
-  std::vector<std::vector<uint8_t>> frames;
+  std::vector<TupleBlock> frames;
   // The injector flipped a byte; the reliable receiver discards the
   // frame instead of surfacing it.
-  EXPECT_EQ(channel.DrainBytes(&frames), 0u);
+  EXPECT_EQ(channel.Drain(&frames), 0u);
   EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
   // The resend bypasses injection and arrives intact.
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBytes(&frames), 1u);
+  ASSERT_EQ(channel.Drain(&frames), 6u);
+  ASSERT_EQ(frames.size(), 1u);
   size_t offset = 0;
   TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(frames[0], &offset, &decoded).ok());
+  ASSERT_TRUE(DecodeBlockInto(frames[0].wire, &offset, &decoded).ok());
   ExpectSameTuples(decoded, block);
 }
 

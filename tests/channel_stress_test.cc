@@ -16,6 +16,7 @@
 namespace pdatalog {
 namespace {
 
+using testing_util::EncodedFrame;
 using testing_util::RowBlock;
 
 // A recognizable block: `arity` columns, `count` rows, every cell
@@ -58,9 +59,8 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
-        channel.SendBlock(RowBlock(static_cast<Symbol>(s),
-                                   {static_cast<Value>(s),
-                                    static_cast<Value>(i)}));
+        channel.Send(RowBlock(static_cast<Symbol>(s),
+                              {static_cast<Value>(s), static_cast<Value>(i)}));
       }
     });
   }
@@ -68,9 +68,9 @@ TEST(ChannelStressTest, ManySendersOneDrainerLosesNothing) {
   // Drain concurrently with the senders, like a worker's round loop.
   std::vector<TupleBlock> received;
   uint64_t tuples = 0;
-  while (tuples < kFrames) tuples += channel.DrainBlocks(&received);
+  while (tuples < kFrames) tuples += channel.Drain(&received);
   for (std::thread& t : senders) t.join();
-  EXPECT_EQ(channel.DrainBlocks(&received), 0u);  // nothing left
+  EXPECT_EQ(channel.Drain(&received), 0u);  // nothing left
   ASSERT_EQ(received.size(), kFrames);
 
   // Every (sender, sequence) pair arrives exactly once, in per-sender
@@ -106,7 +106,7 @@ TEST(ChannelStressTest, BatchedSendersCountExactly) {
   for (int s = 0; s < kSenders; ++s) {
     senders.emplace_back([&channel, s] {
       for (int b = 0; b < kBatches; ++b) {
-        channel.SendBlock(PatternBlock(s * kBatches + b, 2, kBatchSize));
+        channel.Send(PatternBlock(s * kBatches + b, 2, kBatchSize));
       }
     });
   }
@@ -114,10 +114,10 @@ TEST(ChannelStressTest, BatchedSendersCountExactly) {
   std::vector<TupleBlock> received;
   uint64_t tuples = 0;
   while (tuples < kFrames * kBatchSize) {
-    tuples += channel.DrainBlocks(&received);
+    tuples += channel.Drain(&received);
   }
   for (std::thread& t : senders) t.join();
-  EXPECT_EQ(channel.DrainBlocks(&received), 0u);
+  EXPECT_EQ(channel.Drain(&received), 0u);
   ASSERT_EQ(received.size(), kFrames);
   for (const TupleBlock& b : received) {
     // Recover the block's sequence from its first cell.
@@ -146,17 +146,17 @@ TEST(ChannelStressTest, ReliableChannelRecoversUnderConcurrentFaults) {
 
   std::thread sender([&channel] {
     for (int i = 0; i < kBlocks; ++i) {
-      channel.SendBlock(RowBlock(1, {static_cast<Value>(i), 0}));
+      channel.Send(RowBlock(1, {static_cast<Value>(i), 0}));
       if ((i & 63) == 0) channel.RetransmitUnacked();
     }
   });
 
   std::vector<TupleBlock> received;
   while (received.size() < kBlocks) {
-    if (channel.DrainBlocks(&received) == 0) channel.RetransmitUnacked();
+    if (channel.Drain(&received) == 0) channel.RetransmitUnacked();
   }
   sender.join();
-  channel.DrainBlocks(&received);
+  channel.Drain(&received);
   ASSERT_EQ(received.size(), static_cast<size_t>(kBlocks));
   for (int i = 0; i < kBlocks; ++i) {
     EXPECT_EQ(received[i].value(0, 0), static_cast<Value>(i)) << "at " << i;
@@ -181,20 +181,17 @@ TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
     senders.emplace_back([&channel, s] {
       for (int i = 0; i < kPerSender; ++i) {
         uint32_t count = 1 + i % 4;
-        std::vector<uint8_t> bytes;
-        ASSERT_TRUE(
-            EncodeBlock(PatternBlock(s * kPerSender + i, 3, count), &bytes)
-                .ok());
-        channel.SendBytes(std::move(bytes), count);
+        channel.Send(
+            EncodedFrame(PatternBlock(s * kPerSender + i, 3, count)));
       }
     });
   }
 
-  std::vector<std::vector<uint8_t>> received;
+  std::vector<TupleBlock> received;
   const size_t expect = static_cast<size_t>(kSenders) * kPerSender;
-  while (received.size() < expect) channel.DrainBytes(&received);
+  while (received.size() < expect) channel.Drain(&received);
   for (std::thread& t : senders) t.join();
-  channel.DrainBytes(&received);
+  channel.Drain(&received);
   ASSERT_EQ(received.size(), expect);
 
   uint64_t tuples = 0;
@@ -203,7 +200,7 @@ TEST(ChannelStressTest, SerializedModeCountsDecodedMessages) {
   TupleBlock decoded;
   for (const auto& frame : received) {
     size_t offset = 0;
-    ASSERT_TRUE(DecodeBlockInto(frame, &offset, &decoded).ok());
+    ASSERT_TRUE(DecodeBlockInto(frame.wire, &offset, &decoded).ok());
     uint32_t seq = decoded.value(0, 0) / 31;
     int s = static_cast<int>(seq / kPerSender);
     int i = static_cast<int>(seq % kPerSender);
@@ -229,8 +226,7 @@ TEST(ChannelStressTest, SingleSenderFramesArriveWholeAndInOrder) {
 
   std::thread producer([&channel] {
     for (int seq = 0; seq < kFrames; ++seq) {
-      channel.SendBlock(
-          PatternBlock(seq, /*arity=*/4, /*count=*/(seq % 8) + 1));
+      channel.Send(PatternBlock(seq, /*arity=*/4, /*count=*/(seq % 8) + 1));
     }
   });
 
@@ -239,7 +235,7 @@ TEST(ChannelStressTest, SingleSenderFramesArriveWholeAndInOrder) {
   std::vector<TupleBlock> scratch;
   while (validated < kFrames) {
     scratch.clear();
-    channel.DrainBlocks(&scratch);
+    channel.Drain(&scratch);
     for (const TupleBlock& block : scratch) {
       const uint32_t seq = static_cast<uint32_t>(validated);
       CheckPatternBlock(block, seq, 4, (seq % 8) + 1);

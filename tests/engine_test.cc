@@ -392,7 +392,6 @@ TEST_P(EngineModeTest, RebalancedRunPoolsTheOracle) {
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
   ParallelOptions options = Options();
   options.rebalance.skew_threshold = 1.0;
-  options.rebalance.min_window_busy_ns = 0;
   options.rebalance.min_bucket_tuples = 1;
   options.rebalance.cooldown_windows = 2;
   StatusOr<ParallelResult> result =

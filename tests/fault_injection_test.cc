@@ -8,6 +8,7 @@
 //      wrong answer.
 #include "core/fault.h"
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@ namespace {
 
 using testing_util::AncestorScheme;
 using testing_util::DumpOutput;
+using testing_util::EncodedFrame;
 using testing_util::GenPointsToFacts;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
@@ -76,9 +78,9 @@ TEST(FaultChannelTest, DropLosesEveryMessage) {
   FaultSpec spec;
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  for (Value i = 0; i < 5; ++i) channel.SendBlock(RowBlock(1, {i, i}));
+  for (Value i = 0; i < 5; ++i) channel.Send(RowBlock(1, {i, i}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
+  EXPECT_EQ(channel.Drain(&out), 0u);
   EXPECT_FALSE(channel.HasPending());
   // Logical sends still count (the termination detector must see the
   // imbalance a loss creates).
@@ -93,9 +95,9 @@ TEST(FaultChannelTest, DuplicateDeliversTwiceWithoutRetransmit) {
   FaultSpec spec;
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(RowBlock(1, {7, 8}));
+  channel.Send(RowBlock(1, {7, 8}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 2u);
+  EXPECT_EQ(channel.Drain(&out), 2u);
   EXPECT_EQ(channel.total_sent(), 1u);  // the copy is not a send
   EXPECT_EQ(channel.fault_counters().duplicated, 1u);
 }
@@ -106,10 +108,10 @@ TEST(FaultChannelTest, ReliableChannelDiscardsDuplicates) {
   spec.duplicate = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.SendBlock(RowBlock(1, {7, 8}));
-  channel.SendBlock(RowBlock(1, {9, 10}));
+  channel.Send(RowBlock(1, {7, 8}));
+  channel.Send(RowBlock(1, {9, 10}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 2u);  // one logical delivery each
+  EXPECT_EQ(channel.Drain(&out), 2u);  // one logical delivery each
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(channel.fault_counters().duplicates_discarded, 2u);
 }
@@ -119,11 +121,11 @@ TEST(FaultChannelTest, ReorderFlipsDeliveryOrder) {
   FaultSpec spec;
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(RowBlock(1, {1, 0}));
-  channel.SendBlock(RowBlock(1, {2, 0}));
-  channel.SendBlock(RowBlock(1, {3, 0}));
+  channel.Send(RowBlock(1, {1, 0}));
+  channel.Send(RowBlock(1, {2, 0}));
+  channel.Send(RowBlock(1, {3, 0}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 3u);
+  EXPECT_EQ(channel.Drain(&out), 3u);
   ASSERT_EQ(out.size(), 3u);
   // Every frame jumped the queue, so arrival order is reversed.
   EXPECT_EQ(out[0].value(0, 0), 3u);
@@ -136,14 +138,14 @@ TEST(FaultChannelTest, ReliableChannelReordersBackInOrder) {
   spec.reorder = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.SendBlock(RowBlock(1, {1, 0}));
-  channel.SendBlock(RowBlock(1, {2, 0}));
-  channel.SendBlock(RowBlock(1, {3, 0}));
+  channel.Send(RowBlock(1, {1, 0}));
+  channel.Send(RowBlock(1, {2, 0}));
+  channel.Send(RowBlock(1, {3, 0}));
   std::vector<TupleBlock> out;
-  size_t delivered = channel.DrainBlocks(&out);
+  size_t delivered = channel.Drain(&out);
   while (delivered < 3) {
     channel.RetransmitUnacked();
-    delivered += channel.DrainBlocks(&out);
+    delivered += channel.Drain(&out);
   }
   ASSERT_EQ(out.size(), 3u);
   for (size_t i = 0; i < out.size(); ++i) {
@@ -157,15 +159,15 @@ TEST(FaultChannelTest, DelayedFrameStaysPendingThenMatures) {
   spec.delay = 1.0;
   spec.delay_polls = 2;
   channel.ConfigureFaults(spec, 0, 1);
-  channel.SendBlock(RowBlock(1, {4, 5}));
+  channel.Send(RowBlock(1, {4, 5}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);
+  EXPECT_EQ(channel.Drain(&out), 0u);
   // A delayed frame is in transit, not lost: the channel must still
   // report pending so the receiver keeps polling instead of declaring
   // quiescence.
   EXPECT_TRUE(channel.HasPending());
   // Matured after delay_polls drains.
-  EXPECT_EQ(channel.DrainBlocks(&out), 1u);
+  EXPECT_EQ(channel.Drain(&out), 1u);
   EXPECT_FALSE(channel.HasPending());
   EXPECT_EQ(channel.fault_counters().delayed, 1u);
 }
@@ -175,12 +177,10 @@ TEST(FaultChannelTest, CorruptByteModeBreaksChecksum) {
   FaultSpec spec;
   spec.corrupt = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(RowBlock(5, {1, 2}), &bytes).ok());
-  channel.SendBytes(bytes, 1);
-  std::vector<std::vector<uint8_t>> out;
-  ASSERT_EQ(channel.DrainBytes(&out), 1u);
-  EXPECT_FALSE(FrameChecksumOk(out[0].data(), out[0].size()));
+  channel.Send(EncodedFrame(RowBlock(5, {1, 2})));
+  std::vector<TupleBlock> out;
+  ASSERT_EQ(channel.Drain(&out), 1u);
+  EXPECT_FALSE(FrameChecksumOk(out[0].wire.data(), out[0].wire.size()));
   EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1));
   EXPECT_EQ(channel.fault_counters().corrupted, 1u);
 }
@@ -191,19 +191,18 @@ TEST(FaultChannelTest, ReliableChannelRecoversCorruptViaRetransmit) {
   spec.corrupt = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(RowBlock(5, {1, 2}), &bytes).ok());
-  channel.SendBytes(bytes, 1);
-  std::vector<std::vector<uint8_t>> out;
+  TupleBlock frame = EncodedFrame(RowBlock(5, {1, 2}));
+  channel.Send(frame);
+  std::vector<TupleBlock> out;
   // The receiver discards the corrupt frame without acknowledging it...
-  EXPECT_EQ(channel.DrainBytes(&out), 0u);
+  EXPECT_EQ(channel.Drain(&out), 0u);
   EXPECT_EQ(channel.fault_counters().corrupt_discarded, 1u);
   // ...and the sender's retransmission (which bypasses injection)
   // delivers the intact copy.
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  ASSERT_EQ(channel.DrainBytes(&out), 1u);
-  EXPECT_TRUE(FrameChecksumOk(out[0].data(), out[0].size()));
-  EXPECT_EQ(out[0], bytes);
+  ASSERT_EQ(channel.Drain(&out), 1u);
+  EXPECT_TRUE(FrameChecksumOk(out[0].wire.data(), out[0].wire.size()));
+  EXPECT_EQ(out[0].wire, frame.wire);
 }
 
 TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
@@ -212,11 +211,11 @@ TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
   spec.drop = 1.0;
   channel.ConfigureFaults(spec, 0, 1);
   channel.EnableRetransmit();
-  channel.SendBlock(RowBlock(1, {1, 2}));
+  channel.Send(RowBlock(1, {1, 2}));
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 0u);  // first transmission dropped
+  EXPECT_EQ(channel.Drain(&out), 0u);  // first transmission dropped
   EXPECT_EQ(channel.RetransmitUnacked(), 1u);
-  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // recovered
+  EXPECT_EQ(channel.Drain(&out), 1u);  // recovered
   // Delivered frames are acknowledged; nothing left to resend.
   EXPECT_EQ(channel.RetransmitUnacked(), 0u);
   EXPECT_EQ(channel.fault_counters().retransmitted, 1u);
@@ -225,6 +224,176 @@ TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
   EXPECT_EQ(channel.total_frames(), 1u);
   EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1));
 }
+
+// ---------------------------------------------------------------------
+// One table for every injector action through the single Send/Drain:
+// object and encoded frames, each on an unreliable and a reliable
+// channel. Three frames (1, 2 and 3 tuples) go out under a
+// probability-1 spec; the receiver drains kDelayPolls times, the sender
+// retransmits once, and the receiver drains again.
+// ---------------------------------------------------------------------
+
+constexpr int kDelayPolls = 2;
+
+// Counts in FaultCounters field order: dropped, duplicated, reordered,
+// corrupted, delayed, retransmitted, duplicates_discarded,
+// corrupt_discarded.
+using CounterRow = std::array<uint64_t, 8>;
+
+CounterRow AsRow(const FaultCounters& c) {
+  return {c.dropped, c.duplicated, c.reordered, c.corrupted, c.delayed,
+          c.retransmitted, c.duplicates_discarded, c.corrupt_discarded};
+}
+
+struct ChannelFaultCase {
+  const char* name;
+  FaultInjector::Action action;
+  bool encoded;
+  bool reliable;
+  size_t first_drain;  // tuples the first Drain reports
+  size_t drained;      // tuples all Drains report
+  // Frame k carries k + 1 tuples whose first column starts at 10 * k;
+  // the first values of the intact frames received, in arrival order.
+  std::vector<Value> intact;
+  size_t broken;  // received frames that fail to decode
+  CounterRow counters;
+};
+
+void PrintTo(const ChannelFaultCase& c, std::ostream* os) { *os << c.name; }
+
+using A = FaultInjector::Action;
+const ChannelFaultCase kChannelFaultCases[] = {
+    // name, action, encoded, reliable, first, drained, intact, broken,
+    // {drop dup reord corr delay resent dup_disc corrupt_disc}
+    {"deliver_object", A::kDeliver, false, false, 6, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {"deliver_object_reliable", A::kDeliver, false, true, 6, 6,
+     {0, 10, 20}, 0, {0, 0, 0, 0, 0, 0, 0, 0}},
+    {"deliver_encoded", A::kDeliver, true, false, 6, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {"deliver_encoded_reliable", A::kDeliver, true, true, 6, 6,
+     {0, 10, 20}, 0, {0, 0, 0, 0, 0, 0, 0, 0}},
+    {"drop_object", A::kDrop, false, false, 0, 0, {}, 0,
+     {3, 0, 0, 0, 0, 0, 0, 0}},
+    {"drop_object_reliable", A::kDrop, false, true, 0, 6, {0, 10, 20}, 0,
+     {3, 0, 0, 0, 0, 3, 0, 0}},
+    {"drop_encoded", A::kDrop, true, false, 0, 0, {}, 0,
+     {3, 0, 0, 0, 0, 0, 0, 0}},
+    {"drop_encoded_reliable", A::kDrop, true, true, 0, 6, {0, 10, 20}, 0,
+     {3, 0, 0, 0, 0, 3, 0, 0}},
+    {"duplicate_object", A::kDuplicate, false, false, 12, 12,
+     {0, 0, 10, 10, 20, 20}, 0, {0, 3, 0, 0, 0, 0, 0, 0}},
+    {"duplicate_object_reliable", A::kDuplicate, false, true, 6, 6,
+     {0, 10, 20}, 0, {0, 3, 0, 0, 0, 0, 3, 0}},
+    {"duplicate_encoded", A::kDuplicate, true, false, 12, 12,
+     {0, 0, 10, 10, 20, 20}, 0, {0, 3, 0, 0, 0, 0, 0, 0}},
+    {"duplicate_encoded_reliable", A::kDuplicate, true, true, 6, 6,
+     {0, 10, 20}, 0, {0, 3, 0, 0, 0, 0, 3, 0}},
+    {"reorder_object", A::kReorder, false, false, 6, 6, {20, 10, 0}, 0,
+     {0, 0, 3, 0, 0, 0, 0, 0}},
+    {"reorder_object_reliable", A::kReorder, false, true, 6, 6,
+     {0, 10, 20}, 0, {0, 0, 3, 0, 0, 0, 0, 0}},
+    {"reorder_encoded", A::kReorder, true, false, 6, 6, {20, 10, 0}, 0,
+     {0, 0, 3, 0, 0, 0, 0, 0}},
+    {"reorder_encoded_reliable", A::kReorder, true, true, 6, 6,
+     {0, 10, 20}, 0, {0, 0, 3, 0, 0, 0, 0, 0}},
+    {"delay_object", A::kDelay, false, false, 0, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 3, 0, 0, 0}},
+    {"delay_object_reliable", A::kDelay, false, true, 0, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 3, 0, 0, 0}},
+    {"delay_encoded", A::kDelay, true, false, 0, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 3, 0, 0, 0}},
+    {"delay_encoded_reliable", A::kDelay, true, true, 0, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 3, 0, 0, 0}},
+    // An object frame has no bytes to flip: intact and uncounted.
+    {"corrupt_object", A::kCorrupt, false, false, 6, 6, {0, 10, 20}, 0,
+     {0, 0, 0, 0, 0, 0, 0, 0}},
+    {"corrupt_object_reliable", A::kCorrupt, false, true, 6, 6,
+     {0, 10, 20}, 0, {0, 0, 0, 0, 0, 0, 0, 0}},
+    // Unreliable: the broken frames surface (the worker's decode fails
+    // the run). Reliable: discarded unacknowledged, then resent intact.
+    {"corrupt_encoded", A::kCorrupt, true, false, 6, 6, {}, 3,
+     {0, 0, 0, 3, 0, 0, 0, 0}},
+    {"corrupt_encoded_reliable", A::kCorrupt, true, true, 0, 6,
+     {0, 10, 20}, 0, {0, 0, 0, 3, 0, 3, 0, 3}},
+};
+
+FaultSpec AlwaysSpec(FaultInjector::Action action) {
+  FaultSpec spec;
+  spec.delay_polls = kDelayPolls;
+  switch (action) {
+    case A::kDeliver: break;
+    case A::kDrop: spec.drop = 1.0; break;
+    case A::kDuplicate: spec.duplicate = 1.0; break;
+    case A::kReorder: spec.reorder = 1.0; break;
+    case A::kCorrupt: spec.corrupt = 1.0; break;
+    case A::kDelay: spec.delay = 1.0; break;
+  }
+  return spec;
+}
+
+class ChannelFaultTableTest
+    : public ::testing::TestWithParam<ChannelFaultCase> {};
+
+TEST_P(ChannelFaultTableTest, SendAndDrainFollowTheTable) {
+  const ChannelFaultCase& c = GetParam();
+  Channel channel;
+  channel.ConfigureFaults(AlwaysSpec(c.action), 0, 1);
+  if (c.reliable) channel.EnableRetransmit();
+  for (Value k = 0; k < 3; ++k) {
+    TupleBlock block;
+    block.predicate = 1;
+    block.arity = 2;
+    for (Value r = 0; r <= k; ++r) {
+      Value row[2] = {10 * k + r, r};
+      block.Append(row, 2);
+    }
+    channel.Send(c.encoded ? EncodedFrame(block) : block);
+  }
+  EXPECT_EQ(channel.total_sent(), 6u);
+  EXPECT_EQ(channel.total_frames(), 3u);
+  EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1) +
+                                       BlockWireBytes(2, 2) +
+                                       BlockWireBytes(2, 3));
+
+  std::vector<TupleBlock> out;
+  const size_t first = channel.Drain(&out);
+  size_t drained = first;
+  for (int poll = 1; poll < kDelayPolls; ++poll) {
+    drained += channel.Drain(&out);
+  }
+  channel.RetransmitUnacked();
+  drained += channel.Drain(&out);
+  EXPECT_EQ(first, c.first_drain);
+  EXPECT_EQ(drained, c.drained);
+  EXPECT_FALSE(channel.HasPending());
+
+  std::vector<Value> intact;
+  size_t broken = 0;
+  for (const TupleBlock& frame : out) {
+    EXPECT_EQ(frame.wire.empty(), !c.encoded);
+    TupleBlock decoded;
+    size_t offset = 0;
+    if (c.encoded && !DecodeBlockInto(frame.wire, &offset, &decoded).ok()) {
+      ++broken;
+      continue;
+    }
+    const TupleBlock& block = c.encoded ? decoded : frame;
+    const Value first_value = block.value(0, 0);
+    EXPECT_EQ(block.count, first_value / 10 + 1);
+    intact.push_back(first_value);
+  }
+  EXPECT_EQ(intact, c.intact);
+  EXPECT_EQ(broken, c.broken);
+  EXPECT_EQ(AsRow(channel.fault_counters()), c.counters);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryAction, ChannelFaultTableTest,
+    ::testing::ValuesIn(kChannelFaultCases),
+    [](const ::testing::TestParamInfo<ChannelFaultCase>& info) {
+      return std::string(info.param.name);
+    });
 
 // ---------------------------------------------------------------------
 // End-to-end fault matrix: ancestor (Example 3 scheme) and points_to

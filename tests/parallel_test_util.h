@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "core/partition.h"
+#include "core/wire.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 #include "util/hash.h"
@@ -174,6 +175,18 @@ inline TupleBlock RowBlock(Symbol predicate, std::initializer_list<Value> row) {
   block.arity = static_cast<int>(row.size());
   block.Append(row.begin(), block.arity);
   return block;
+}
+
+// The message-passing frame of `block`: its header fields, no values,
+// and its encoding in `wire` (what Worker::FlushBlock sends in
+// serialized mode).
+inline TupleBlock EncodedFrame(const TupleBlock& block) {
+  TupleBlock frame;
+  frame.predicate = block.predicate;
+  frame.arity = block.arity;
+  frame.count = block.count;
+  EXPECT_TRUE(EncodeBlock(block, &frame.wire).ok());
+  return frame;
 }
 
 }  // namespace testing_util

@@ -1,5 +1,5 @@
-// Skew-adaptive repartitioning (core/rebalance.h): control-frame wire
-// format, kRemapped overlay semantics, the satellite regressions of
+// Skew-adaptive repartitioning (core/rebalance.h): kRemapped overlay
+// semantics, the satellite regressions of
 // PR 7 (PartitionBases buffer guard, kLinear remap miss), and — the
 // load-bearing property — differential fixpoint tests: rebalancing on
 // must produce a bit-identical fixpoint to rebalancing off, under both
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/cost_model.h"
@@ -32,58 +33,9 @@ using testing_util::ValidateOrDie;
 RebalanceOptions EagerRebalance() {
   RebalanceOptions o;
   o.skew_threshold = 1.0;  // any imbalance triggers
-  o.min_window_busy_ns = 0;
   o.min_bucket_tuples = 1;
   o.cooldown_windows = 2;
   return o;
-}
-
-// ---------------------------------------------------------------------
-// Control frame wire format
-// ---------------------------------------------------------------------
-
-TEST(ControlFrameTest, RoundTrips) {
-  RemapControlFrame frame;
-  frame.epoch = 7;
-  frame.function = 3;
-  frame.num_buckets = 128;
-  frame.overrides = {{5, 2}, {77, DiscriminatingFunction::kKeepLocalDest}};
-
-  std::vector<uint8_t> bytes;
-  EncodeControlFrame(frame, &bytes);
-  RemapControlFrame decoded;
-  ASSERT_TRUE(DecodeControlFrame(bytes.data(), bytes.size(), &decoded).ok());
-  EXPECT_EQ(decoded.epoch, 7u);
-  EXPECT_EQ(decoded.function, 3);
-  EXPECT_EQ(decoded.num_buckets, 128u);
-  ASSERT_EQ(decoded.overrides.size(), 2u);
-  EXPECT_EQ(decoded.overrides[0], (std::pair<uint32_t, int32_t>{5, 2}));
-  EXPECT_EQ(decoded.overrides[1].second,
-            DiscriminatingFunction::kKeepLocalDest);
-}
-
-TEST(ControlFrameTest, RejectsTruncationCorruptionAndBadMagic) {
-  RemapControlFrame frame;
-  frame.epoch = 1;
-  frame.function = 0;
-  frame.num_buckets = 64;
-  frame.overrides = {{9, 1}};
-  std::vector<uint8_t> bytes;
-  EncodeControlFrame(frame, &bytes);
-
-  RemapControlFrame decoded;
-  // Truncated at every length short of the full frame.
-  for (size_t n = 0; n < bytes.size(); ++n) {
-    EXPECT_FALSE(DecodeControlFrame(bytes.data(), n, &decoded).ok())
-        << "length " << n;
-  }
-  // Any single flipped byte fails the checksum (or the magic).
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::vector<uint8_t> bad = bytes;
-    bad[i] ^= 0x40;
-    EXPECT_FALSE(DecodeControlFrame(bad.data(), bad.size(), &decoded).ok())
-        << "byte " << i;
-  }
 }
 
 // ---------------------------------------------------------------------
@@ -397,6 +349,22 @@ TEST(RebalanceZipfTest, MovesBucketsAndReducesFiringsSkew) {
   EXPECT_EQ(after->metrics.counter("rebalance.rounds"), acted);
   EXPECT_EQ(after->rebalance_log.size(), acted);
   EXPECT_LT(FiringsSkew(*after), FiringsSkew(*before));
+
+  // The trigger reads counted work, never a clock, so the same schedule
+  // makes the same decisions.
+  StatusOr<ParallelResult> again = RunParallel(bundle, &setup->edb, on);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  ASSERT_EQ(again->rebalance_log.size(), after->rebalance_log.size());
+  for (size_t i = 0; i < after->rebalance_log.size(); ++i) {
+    const RebalanceLogEntry& a = after->rebalance_log[i];
+    const RebalanceLogEntry& b = again->rebalance_log[i];
+    EXPECT_EQ(std::tie(a.window, a.bucket, a.from, a.to, a.tuples),
+              std::tie(b.window, b.bucket, b.from, b.to, b.tuples))
+        << "decision " << i;
+  }
+  for (size_t w = 0; w < after->workers.size(); ++w) {
+    EXPECT_EQ(again->workers[w].firings, after->workers[w].firings);
+  }
 }
 
 }  // namespace

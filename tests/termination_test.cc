@@ -59,19 +59,19 @@ TEST(TerminationTest, StressPingPongNeverTerminatesEarly) {
     detector.SetIdle(id, false);
     if (id == 0) {
       detector.CountSend(0, 1);
-      network.channel(0, 1).SendBlock(RowBlock(0, {1}));
+      network.channel(0, 1).Send(RowBlock(0, {1}));
     }
     std::vector<TupleBlock> buffer;
     while (!detector.terminated()) {
       buffer.clear();
-      size_t n = network.channel(1 - id, id).DrainBlocks(&buffer);
+      size_t n = network.channel(1 - id, id).Drain(&buffer);
       if (n > 0) {
         detector.SetIdle(id, false);
         detector.CountReceive(id, n);
         int h = hops.fetch_add(1) + 1;
         if (h < kHops) {
           detector.CountSend(id, 1);
-          network.channel(id, 1 - id).SendBlock(RowBlock(0, {1}));
+          network.channel(id, 1 - id).Send(RowBlock(0, {1}));
         }
       } else {
         detector.SetIdle(id, true);
@@ -95,11 +95,11 @@ TEST(TerminationTest, StressPingPongNeverTerminatesEarly) {
 
 TEST(ChannelTest, SendDrainRoundTrip) {
   Channel channel;
-  channel.SendBlock(RowBlock(7, {1, 2}));
-  channel.SendBlock(RowBlock(7, {3, 4}));
+  channel.Send(RowBlock(7, {1, 2}));
+  channel.Send(RowBlock(7, {3, 4}));
   EXPECT_TRUE(channel.HasPending());
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 2u);
+  EXPECT_EQ(channel.Drain(&out), 2u);
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].predicate, 7u);
   EXPECT_EQ(out[0].value(0, 0), 1u);
@@ -113,19 +113,19 @@ TEST(ChannelTest, SendDrainRoundTrip) {
 
 TEST(ChannelTest, DrainAppendsToExisting) {
   Channel channel;
-  channel.SendBlock(RowBlock(1, {9}));
+  channel.Send(RowBlock(1, {9}));
   std::vector<TupleBlock> out;
   out.push_back(RowBlock(0, {5}));
-  EXPECT_EQ(channel.DrainBlocks(&out), 1u);  // counts only new tuples
+  EXPECT_EQ(channel.Drain(&out), 1u);  // counts only new tuples
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[1].value(0, 0), 9u);
 }
 
 TEST(CommNetworkTest, MatrixShape) {
   CommNetwork network(3);
-  network.channel(0, 2).SendBlock(RowBlock(1, {1}));
-  network.channel(0, 2).SendBlock(RowBlock(1, {2}));
-  network.channel(1, 0).SendBlock(RowBlock(1, {3}));
+  network.channel(0, 2).Send(RowBlock(1, {1}));
+  network.channel(0, 2).Send(RowBlock(1, {2}));
+  network.channel(1, 0).Send(RowBlock(1, {3}));
   auto m = network.SentMatrix();
   EXPECT_EQ(m[0][2], 2u);
   EXPECT_EQ(m[1][0], 1u);
@@ -136,7 +136,7 @@ TEST(CommNetworkTest, MatrixShape) {
 
 TEST(CommNetworkTest, ChannelsAreDistinct) {
   CommNetwork network(2);
-  network.channel(0, 1).SendBlock(RowBlock(1, {1}));
+  network.channel(0, 1).Send(RowBlock(1, {1}));
   EXPECT_FALSE(network.channel(1, 0).HasPending());
   EXPECT_TRUE(network.channel(0, 1).HasPending());
 }
@@ -148,13 +148,13 @@ TEST(ChannelTest, ConcurrentSendersAllDelivered) {
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&channel] {
       for (int i = 0; i < kPerThread; ++i) {
-        channel.SendBlock(RowBlock(0, {static_cast<Value>(i)}));
+        channel.Send(RowBlock(0, {static_cast<Value>(i)}));
       }
     });
   }
   for (auto& t : threads) t.join();
   std::vector<TupleBlock> out;
-  EXPECT_EQ(channel.DrainBlocks(&out), 4u * kPerThread);
+  EXPECT_EQ(channel.Drain(&out), 4u * kPerThread);
   EXPECT_EQ(channel.total_sent(), 4u * kPerThread);
   EXPECT_EQ(channel.total_frames(), 4u * kPerThread);
   EXPECT_EQ(channel.total_bytes(), 4u * kPerThread * BlockWireBytes(1, 1));

@@ -9,6 +9,7 @@ namespace {
 
 using testing_util::AncestorScheme;
 using testing_util::DumpOutput;
+using testing_util::EncodedFrame;
 using testing_util::MakeAncestorBundle;
 using testing_util::MakeAncestorSetup;
 using testing_util::RowBlock;
@@ -24,21 +25,20 @@ TEST(WireTest, SerializedChannelRoundTrip) {
   TupleBlock block = RowBlock(5, {1, 2});
   Value row[2] = {3, 4};
   block.Append(row, 2);
-  std::vector<uint8_t> bytes;
-  ASSERT_TRUE(EncodeBlock(block, &bytes).ok());
-  channel.SendBytes(bytes, block.count);
+  TupleBlock frame = EncodedFrame(block);
+  channel.Send(frame);
   EXPECT_TRUE(channel.HasPending());
   EXPECT_EQ(channel.total_sent(), 2u);
   EXPECT_EQ(channel.total_frames(), 1u);
   EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 2));
-  std::vector<std::vector<uint8_t>> out;
-  EXPECT_EQ(channel.DrainBytes(&out), 1u);
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.Drain(&out), 2u);  // tuples, in one frame
   EXPECT_FALSE(channel.HasPending());
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0], bytes);
+  EXPECT_EQ(out[0].wire, frame.wire);
   size_t offset = 0;
   TupleBlock decoded;
-  ASSERT_TRUE(DecodeBlockInto(out[0], &offset, &decoded).ok());
+  ASSERT_TRUE(DecodeBlockInto(out[0].wire, &offset, &decoded).ok());
   EXPECT_EQ(decoded.predicate, 5u);
   EXPECT_EQ(decoded.value(1, 0), 3u);
   EXPECT_EQ(decoded.value(1, 1), 4u);
