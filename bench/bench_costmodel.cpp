@@ -36,15 +36,9 @@ ParallelResult RunDeterministic(AncestorHarness* h, const Database& base,
 ParallelResult RunTradeoffDeterministic(AncestorHarness* h,
                                         const Database& base, double rho,
                                         int P) {
-  TradeoffOptions options;
-  options.v_r = {h->Var("Z")};
-  options.v_e = {h->Var("X")};
-  options.h_prime = DiscriminatingFunction::UniformHash(P);
-  for (int i = 0; i < P; ++i) {
-    options.h_i.push_back(DiscriminatingFunction::KeepOrHash(i, rho, P));
-  }
   StatusOr<RewriteBundle> bundle =
-      RewriteTradeoff(h->program, h->info, h->sirup, P, options);
+      RewriteTradeoff(h->program, h->info, h->sirup, P,
+                      TradeoffScheme(h->sirup, rho, P));
   if (!bundle.ok()) AncestorHarness::Die("rewrite", bundle.status());
   Database edb = h->CloneEdb(base);
   ParallelOptions popts;

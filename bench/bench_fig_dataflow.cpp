@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "core/dataflow_graph.h"
 
 using namespace pdatalog;
 

@@ -34,16 +34,9 @@ int main() {
       TextTable table({"rho", "firings", "redundancy", "cross-msgs",
                        "makespan(c=1,n=4)"});
       for (double rho : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-        TradeoffOptions options;
-        options.v_r = {h.Var("Z")};
-        options.v_e = {h.Var("X")};
-        options.h_prime = DiscriminatingFunction::UniformHash(P);
-        for (int i = 0; i < P; ++i) {
-          options.h_i.push_back(
-              DiscriminatingFunction::KeepOrHash(i, rho, P));
-        }
         StatusOr<RewriteBundle> bundle =
-            RewriteTradeoff(h.program, h.info, h.sirup, P, options);
+            RewriteTradeoff(h.program, h.info, h.sirup, P,
+                            TradeoffScheme(h.sirup, rho, P));
         if (!bundle.ok()) AncestorHarness::Die("rewrite", bundle.status());
         Database edb = h.CloneEdb(base);
         StatusOr<ParallelResult> result = RunParallel(*bundle, &edb);

@@ -11,10 +11,10 @@
 #include <cstdlib>
 #include <string>
 
-#include "core/dataflow_graph.h"
 #include "core/engine.h"
 #include "core/network_graph.h"
 #include "core/partition.h"
+#include "core/schemes.h"
 #include "datalog/parser.h"
 #include "eval/seminaive.h"
 #include "util/stopwatch.h"
@@ -74,29 +74,20 @@ struct AncestorHarness {
     return stats;
   }
 
-  // Section 4 scheme options by name.
+  // Section 4 scheme options by name (core/schemes.h).
   LinearSchemeOptions Example1(int P, uint64_t seed = 0x5eed) {
-    LinearSchemeOptions o;
-    o.v_r = {Var("Y")};
-    o.v_e = {Var("Y")};
-    o.h = DiscriminatingFunction::UniformHash(P, seed);
-    return o;
+    StatusOr<LinearSchemeOptions> o = CommunicationFreeScheme(sirup, P, seed);
+    if (!o.ok()) Die("example1", o.status());
+    return std::move(*o);
   }
   LinearSchemeOptions Example2(const Database& edb, int P,
                                uint64_t seed = 0x5eed) {
-    LinearSchemeOptions o;
-    o.v_r = {Var("X"), Var("Z")};
-    o.v_e = {Var("X"), Var("Y")};
-    const Relation* rel = edb.Find(par());
-    o.h = MakeArbitraryFragmentation(*rel, P, seed);
-    return o;
+    StatusOr<LinearSchemeOptions> o = FragmentationScheme(sirup, edb, P, seed);
+    if (!o.ok()) Die("example2", o.status());
+    return std::move(*o);
   }
   LinearSchemeOptions Example3(int P, uint64_t seed = 0x5eed) {
-    LinearSchemeOptions o;
-    o.v_r = {Var("Z")};
-    o.v_e = {Var("X")};
-    o.h = DiscriminatingFunction::UniformHash(P, seed);
-    return o;
+    return HashScheme(sirup, Example3Vars(sirup), P, seed);
   }
 
   ParallelResult RunScheme(const Database& source,

@@ -9,7 +9,7 @@
 #include <string>
 
 #include "core/engine.h"
-#include "core/partition.h"
+#include "core/schemes.h"
 #include "datalog/parser.h"
 #include "eval/seminaive.h"
 #include "util/table.h"
@@ -40,7 +40,6 @@ int main() {
       &symbols);
   ProgramInfo info;
   (void)Validate(*program, &info);
-  StatusOr<LinearSirup> sirup = ExtractLinearSirup(*program, info);
 
   // A genealogy: a ternary family tree, 5 generations deep.
   Database base;
@@ -63,18 +62,20 @@ int main() {
               seq_db.Find(symbols.Lookup("anc"))->size(),
               static_cast<unsigned long long>(seq_stats.firings));
 
-  auto run_scheme = [&](const std::string& name,
-                        const LinearSchemeOptions& options) {
+  auto run_scheme = [&](const std::string& name, SchemeKind kind) {
     SchemeRun run;
     run.name = name;
-    StatusOr<RewriteBundle> bundle = RewriteLinearSirup(
-        *program, info, *sirup, kProcessors, options);
-    if (!bundle.ok()) {
+    SchemeRequest request;
+    request.kind = kind;
+    request.processors = kProcessors;
+    StatusOr<BuiltScheme> scheme = BuildScheme(*program, info, base, request);
+    if (!scheme.ok()) {
       std::fprintf(stderr, "%s: %s\n", name.c_str(),
-                   bundle.status().ToString().c_str());
+                   scheme.status().ToString().c_str());
       return run;
     }
-    for (const BaseOccurrence& occ : bundle->base_occurrences) {
+    const RewriteBundle& bundle = scheme->bundle;
+    for (const BaseOccurrence& occ : bundle.base_occurrences) {
       if (occ.access == BaseOccurrence::Access::kReplicated) {
         run.replicated_base_rows += base.Find(symbols.Lookup("par"))->size();
       }
@@ -83,7 +84,7 @@ int main() {
     const Relation* par = base.Find(symbols.Lookup("par"));
     Relation& copy = edb.GetOrCreate(symbols.Lookup("par"), 2);
     for (size_t r = 0; r < par->size(); ++r) copy.Insert(par->row(r));
-    StatusOr<ParallelResult> result = RunParallel(*bundle, &edb);
+    StatusOr<ParallelResult> result = RunParallel(bundle, &edb);
     if (!result.ok()) {
       std::fprintf(stderr, "%s: %s\n", name.c_str(),
                    result.status().ToString().c_str());
@@ -99,28 +100,10 @@ int main() {
 
   std::vector<SchemeRun> runs;
 
-  {  // Example 1: v(r) = v(e) = <Y>.
-    LinearSchemeOptions options;
-    options.v_r = {symbols.Intern("Y")};
-    options.v_e = {symbols.Intern("Y")};
-    options.h = DiscriminatingFunction::UniformHash(kProcessors);
-    runs.push_back(run_scheme("example1 (no-comm)", options));
-  }
-  {  // Example 2: arbitrary fragmentation of par.
-    LinearSchemeOptions options;
-    options.v_r = {symbols.Intern("X"), symbols.Intern("Z")};
-    options.v_e = {symbols.Intern("X"), symbols.Intern("Y")};
-    options.h = MakeArbitraryFragmentation(
-        *base.Find(symbols.Lookup("par")), kProcessors, 42);
-    runs.push_back(run_scheme("example2 (broadcast)", options));
-  }
-  {  // Example 3: v(e) = <X>, v(r) = <Z>.
-    LinearSchemeOptions options;
-    options.v_r = {symbols.Intern("Z")};
-    options.v_e = {symbols.Intern("X")};
-    options.h = DiscriminatingFunction::UniformHash(kProcessors);
-    runs.push_back(run_scheme("example3 (point-to-point)", options));
-  }
+  runs.push_back(run_scheme("example1 (no-comm)", SchemeKind::kExample1));
+  runs.push_back(run_scheme("example2 (broadcast)", SchemeKind::kExample2));
+  runs.push_back(
+      run_scheme("example3 (point-to-point)", SchemeKind::kExample3));
 
   TextTable table({"scheme", "firings", "cross-msgs", "self-msgs",
                    "replicated base rows", "correct"});
@@ -139,5 +122,10 @@ int main() {
       "communicates; example2 accepts any fragmentation of par but\n"
       "broadcasts every tuple; example3 uses disjoint fragments and sends\n"
       "each tuple to exactly one processor (Section 4.3).\n");
+  // A scheme that failed or disagrees with the sequential fixpoint
+  // fails the run.
+  for (const SchemeRun& run : runs) {
+    if (!run.correct) return 1;
+  }
   return 0;
 }

@@ -7,6 +7,7 @@
 
 #include "core/advisor.h"
 #include "core/dataflow_graph.h"
+#include "core/schemes.h"
 #include "core/network_graph.h"
 #include "datalog/parser.h"
 #include "workload/generators.h"

@@ -13,9 +13,7 @@
 
 #include "core/advisor.h"
 #include "core/report.h"
-#include "core/dataflow_graph.h"
 #include "core/engine.h"
-#include "core/partition.h"
 #include "datalog/fact_io.h"
 #include "datalog/parser.h"
 #include "datalog/query.h"
@@ -266,169 +264,6 @@ size_t RingCapacity(const CliOptions& options) {
   return capacity == 0 ? 1 : capacity;
 }
 
-// Picks default discriminating sequences for the general scheme: each
-// rule is keyed on the first variable of its first derived body atom
-// (the join variable in the common case), falling back to the first
-// head variable for exit rules. --vars overrides must name an existing
-// rule and a symbol of the program.
-StatusOr<std::vector<GeneralRuleSpec>> AutoGeneralSpecs(
-    const Program& program, const ProgramInfo& info, int processors,
-    uint64_t seed,
-    const std::vector<std::pair<int, std::string>>& overrides) {
-  std::vector<GeneralRuleSpec> specs(program.rules.size());
-  for (size_t r = 0; r < program.rules.size(); ++r) {
-    const Rule& rule = program.rules[r];
-    Symbol var = kInvalidSymbol;
-    for (const Atom& atom : rule.body) {
-      if (!info.IsDerived(atom.predicate)) continue;
-      for (const Term& t : atom.args) {
-        if (t.is_var()) {
-          var = t.sym;
-          break;
-        }
-      }
-      if (var != kInvalidSymbol) break;
-    }
-    if (var == kInvalidSymbol) {
-      for (const Term& t : rule.head.args) {
-        if (t.is_var()) {
-          var = t.sym;
-          break;
-        }
-      }
-    }
-    if (var != kInvalidSymbol) specs[r].vars = {var};
-    specs[r].h = DiscriminatingFunction::UniformHash(processors, seed);
-  }
-  for (const auto& [idx, name] : overrides) {
-    if (idx < 0 || idx >= static_cast<int>(specs.size())) {
-      return Status::InvalidArgument(
-          "--vars: no rule " + std::to_string(idx) + " (the program has " +
-          std::to_string(specs.size()) + " rules)");
-    }
-    Symbol sym = program.symbols->Lookup(name);
-    if (sym == kInvalidSymbol) {
-      return Status::InvalidArgument("--vars: rule " + std::to_string(idx) +
-                                     ": the program has no variable " + name);
-    }
-    specs[idx].vars = {sym};
-  }
-  return specs;
-}
-
-StatusOr<RewriteBundle> BuildBundle(const CliOptions& options,
-                                    const Program& program,
-                                    const ProgramInfo& info,
-                                    const Database& edb,
-                                    std::string* scheme_note) {
-  const int P = options.processors;
-  // Rebalancing moves hash buckets between workers mid-run, which a
-  // fragmented base cannot follow; keep bases replicated instead.
-  const bool rebalancing = options.rebalance_skew > 0.0;
-
-  // Schemes other than kGeneral need a linear sirup.
-  StatusOr<LinearSirup> sirup = ExtractLinearSirup(program, info);
-
-  Scheme scheme = options.scheme;
-  if (scheme == Scheme::kAuto) {
-    if (!sirup.ok()) {
-      scheme = Scheme::kGeneral;
-    } else if (DataflowGraph::Build(*sirup).HasCycle()) {
-      StatusOr<LinearSchemeOptions> free_scheme =
-          CommunicationFreeScheme(*sirup, P, options.seed);
-      if (free_scheme.ok()) {
-        *scheme_note =
-            "auto: dataflow cycle found; communication-free scheme "
-            "(Theorem 3)";
-        if (rebalancing) free_scheme->fragment_bases = false;
-        return RewriteLinearSirup(program, info, *sirup, P, *free_scheme);
-      }
-      scheme = Scheme::kExample3;
-    } else {
-      scheme = Scheme::kExample3;
-    }
-  }
-
-  switch (scheme) {
-    case Scheme::kGeneral: {
-      *scheme_note = "general scheme (Section 7), per-rule hash on the "
-                     "first derived-atom variable";
-      StatusOr<std::vector<GeneralRuleSpec>> specs = AutoGeneralSpecs(
-          program, info, P, options.seed, options.rule_vars);
-      if (!specs.ok()) return specs.status();
-      return RewriteGeneral(program, info, P, *specs,
-                            /*fragment_bases=*/!rebalancing);
-    }
-    case Scheme::kExample1: {
-      if (!sirup.ok()) return sirup.status();
-      StatusOr<LinearSchemeOptions> free_scheme =
-          CommunicationFreeScheme(*sirup, P, options.seed);
-      if (!free_scheme.ok()) return free_scheme.status();
-      *scheme_note = "Example 1: communication-free (needs a dataflow "
-                     "cycle; base relation replicated)";
-      if (rebalancing) free_scheme->fragment_bases = false;
-      return RewriteLinearSirup(program, info, *sirup, P, *free_scheme);
-    }
-    case Scheme::kExample2: {
-      if (!sirup.ok()) return sirup.status();
-      const Relation* base = edb.Find(sirup->s);
-      if (base == nullptr) {
-        return Status::FailedPrecondition(
-            "example2 needs facts for the base relation to fragment");
-      }
-      LinearSchemeOptions o;
-      // v(r) = all variables of the recursive rule's base atoms' join
-      // with the head -- the paper's instantiation uses the base atom's
-      // full variable list.
-      const Atom& b0 = sirup->base_atoms.empty() ? sirup->exit.body[0]
-                                                 : sirup->base_atoms[0];
-      CollectVariables(b0, &o.v_r);
-      CollectVariables(sirup->exit.body[0], &o.v_e);
-      o.h = MakeArbitraryFragmentation(*base, P, options.seed);
-      *scheme_note = "Example 2: arbitrary fragmentation + broadcast";
-      return RewriteLinearSirup(program, info, *sirup, P, o);
-    }
-    case Scheme::kExample3: {
-      if (!sirup.ok()) return sirup.status();
-      LinearSchemeOptions o;
-      // v(r) = variables of the recursive body atom; v(e) = variables
-      // of the exit head (positionally complete hash partitioning).
-      for (Symbol v : sirup->BodyVarsY()) {
-        if (v != kInvalidSymbol) o.v_r.push_back(v);
-      }
-      for (Symbol v : sirup->ExitVarsZ()) {
-        if (v != kInvalidSymbol) o.v_e.push_back(v);
-      }
-      o.h = DiscriminatingFunction::UniformHash(P, options.seed);
-      if (rebalancing) o.fragment_bases = false;
-      *scheme_note = "Example 3 style: hash partitioning on the recursive "
-                     "atom's variables";
-      return RewriteLinearSirup(program, info, *sirup, P, o);
-    }
-    case Scheme::kTradeoff: {
-      if (!sirup.ok()) return sirup.status();
-      TradeoffOptions o;
-      for (Symbol v : sirup->BodyVarsY()) {
-        if (v != kInvalidSymbol) o.v_r.push_back(v);
-      }
-      for (Symbol v : sirup->ExitVarsZ()) {
-        if (v != kInvalidSymbol) o.v_e.push_back(v);
-      }
-      o.h_prime = DiscriminatingFunction::UniformHash(P, options.seed);
-      for (int i = 0; i < P; ++i) {
-        o.h_i.push_back(DiscriminatingFunction::KeepOrHash(
-            i, options.rho, P, options.seed));
-      }
-      *scheme_note = "Section 6 trade-off scheme, rho=" +
-                     TextTable::Cell(options.rho, 2);
-      return RewriteTradeoff(program, info, *sirup, P, o);
-    }
-    case Scheme::kAuto:
-      break;  // handled above
-  }
-  return Status::Internal("unhandled scheme");
-}
-
 // The program text: a built-in program's rules followed by `source`.
 StatusOr<std::string> ProgramSource(const CliOptions& options,
                                     const std::string& source) {
@@ -544,17 +379,26 @@ Status EvaluateSequential(const CliOptions& options, Session* s, Run* run,
 
 Status EvaluateParallel(const CliOptions& options, Session* s, Run* run,
                         std::string* out) {
-  std::string scheme_note;
-  StatusOr<RewriteBundle> bundle =
-      BuildBundle(options, s->program, s->info, s->db, &scheme_note);
-  if (!bundle.ok()) return bundle.status();
+  SchemeRequest request;
+  request.kind = options.scheme;
+  request.processors = options.processors;
+  request.seed = options.seed;
+  // Rebalancing moves hash buckets between workers mid-run, which a
+  // fragmented base cannot follow; keep bases replicated instead.
+  request.fragment_bases = options.rebalance_skew == 0.0;
+  request.rho = options.rho;
+  request.rule_vars = options.rule_vars;
+  StatusOr<BuiltScheme> scheme =
+      BuildScheme(s->program, s->info, s->db, request);
+  if (!scheme.ok()) return scheme.status();
+  const RewriteBundle& bundle = scheme->bundle;
 
   *out += "mode: parallel, " + std::to_string(options.processors) +
-          " processors\nscheme: " + scheme_note + "\n";
+          " processors\nscheme: " + scheme->note + "\n";
   if (options.print_programs) {
-    for (int i = 0; i < bundle->num_processors; ++i) {
+    for (int i = 0; i < bundle.num_processors; ++i) {
       *out += "-- processor " + std::to_string(i) + " --\n";
-      *out += ToString(bundle->per_processor[i]);
+      *out += ToString(bundle.per_processor[i]);
     }
   }
 
@@ -570,7 +414,7 @@ Status EvaluateParallel(const CliOptions& options, Session* s, Run* run,
       static_cast<uint32_t>(options.rebalance_buckets);
   popts.rebalance.net_per_message = options.net_cost;
   popts.tracer = run->tracer.get();
-  StatusOr<ParallelResult> result = RunParallel(*bundle, &s->db, popts);
+  StatusOr<ParallelResult> result = RunParallel(bundle, &s->db, popts);
   if (!result.ok()) return result.status();
 
   *out += "firings: " + U64(result->total_firings) +

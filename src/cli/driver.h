@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "core/fault.h"
+#include "core/schemes.h"
 #include "datalog/symbol_table.h"
 #include "util/status.h"
 
@@ -18,14 +19,7 @@ namespace pdatalog {
 
 struct CliOptions {
   enum class Mode { kSequential, kNaive, kParallel };
-  enum class Scheme {
-    kAuto,
-    kExample1,
-    kExample2,
-    kExample3,
-    kGeneral,
-    kTradeoff,
-  };
+  using Scheme = SchemeKind;
 
   Mode mode = Mode::kParallel;
   Scheme scheme = Scheme::kAuto;

@@ -2,54 +2,12 @@
 
 #include <algorithm>
 
-#include "core/dataflow_graph.h"
-#include "core/partition.h"
+#include "core/schemes.h"
 #include "util/table.h"
 
 namespace pdatalog {
 
 namespace {
-
-// Distinct variables of the recursive body atom, in position order.
-std::vector<Symbol> RecAtomVars(const LinearSirup& sirup) {
-  std::vector<Symbol> vars;
-  CollectVariables(sirup.rec_body_atom(), &vars);
-  return vars;
-}
-
-// v(e) matching v(r) positionally: for each v(r) variable's first
-// position in the recursive body atom, take the exit head's variable at
-// the same column. Tuples are then seeded where they will be consumed,
-// so initialization incurs no forwarding. Falls back to the exit head's
-// first variable when a column holds a constant.
-std::vector<Symbol> MatchingExitVars(const LinearSirup& sirup,
-                                     const std::vector<Symbol>& v_r) {
-  std::vector<Symbol> z = sirup.ExitVarsZ();
-  std::vector<Symbol> y = sirup.BodyVarsY();
-  std::vector<Symbol> v_e;
-  for (Symbol v : v_r) {
-    int pos = -1;
-    for (size_t c = 0; c < y.size(); ++c) {
-      if (y[c] == v) {
-        pos = static_cast<int>(c);
-        break;
-      }
-    }
-    Symbol pick = kInvalidSymbol;
-    if (pos >= 0 && z[pos] != kInvalidSymbol) {
-      pick = z[pos];
-    } else {
-      for (Symbol cand : z) {
-        if (cand != kInvalidSymbol) {
-          pick = cand;
-          break;
-        }
-      }
-    }
-    if (pick != kInvalidSymbol) v_e.push_back(pick);
-  }
-  return v_e;
-}
 
 struct Candidate {
   std::string name;
@@ -117,93 +75,58 @@ StatusOr<AdvisorReport> AdviseScheme(const Program& program,
   const SymbolTable& symbols = *program.symbols;
   std::vector<Candidate> candidates;
 
-  // 1. Theorem 3 communication-free candidate, when the dataflow graph
-  //    has a cycle.
+  auto add = [&](std::string name, std::string description,
+                 StatusOr<RewriteBundle> bundle) {
+    if (bundle.ok()) {
+      candidates.push_back(
+          {std::move(name), std::move(description), std::move(*bundle)});
+    }
+  };
+  auto add_linear = [&](std::string name, std::string description,
+                        const StatusOr<LinearSchemeOptions>& scheme) {
+    if (!scheme.ok()) return;
+    add(std::move(name), std::move(description),
+        RewriteLinearSirup(program, info, sirup, P, *scheme));
+  };
+
+  // 1. Theorem 3 communication-free candidate (Example 1), when the
+  //    dataflow graph has a cycle.
   StatusOr<LinearSchemeOptions> free_scheme =
       CommunicationFreeScheme(sirup, P, options.seed);
   if (free_scheme.ok()) {
-    StatusOr<RewriteBundle> bundle =
-        RewriteLinearSirup(program, info, sirup, P, *free_scheme);
-    if (bundle.ok()) {
-      std::string vars;
-      for (Symbol v : free_scheme->v_r) {
-        if (!vars.empty()) vars += ",";
-        vars += symbols.Name(v);
-      }
-      candidates.push_back({"theorem3<" + vars + ">",
-                            "communication-free (dataflow cycle)",
-                            std::move(*bundle)});
-    }
+    add_linear("theorem3" + SequenceName(free_scheme->v_r, symbols),
+               "communication-free (dataflow cycle)", free_scheme);
   }
 
   // 2. Hash partitioning on each single variable of the recursive atom,
-  //    and on the full variable list (Example 3 style).
+  //    and on the full variable list.
+  std::vector<Symbol> rec_vars;
+  CollectVariables(sirup.rec_body_atom(), &rec_vars);
   std::vector<std::vector<Symbol>> hash_sequences;
-  for (Symbol v : RecAtomVars(sirup)) hash_sequences.push_back({v});
-  if (RecAtomVars(sirup).size() > 1) {
-    hash_sequences.push_back(RecAtomVars(sirup));
-  }
+  for (Symbol v : rec_vars) hash_sequences.push_back({v});
+  if (rec_vars.size() > 1) hash_sequences.push_back(rec_vars);
   for (const std::vector<Symbol>& v_r : hash_sequences) {
-    LinearSchemeOptions scheme;
-    scheme.v_r = v_r;
-    scheme.v_e = MatchingExitVars(sirup, v_r);
+    LinearSchemeOptions scheme = HashScheme(sirup, v_r, P, options.seed);
     if (scheme.v_e.size() != v_r.size()) continue;
-    scheme.h = DiscriminatingFunction::UniformHash(P, options.seed);
-    StatusOr<RewriteBundle> bundle =
-        RewriteLinearSirup(program, info, sirup, P, scheme);
-    if (!bundle.ok()) continue;
-    std::string vars;
-    for (Symbol v : v_r) {
-      if (!vars.empty()) vars += ",";
-      vars += symbols.Name(v);
-    }
-    candidates.push_back({"hash<" + vars + ">",
-                          "hash partitioning (Section 3)",
-                          std::move(*bundle)});
+    add_linear("hash" + SequenceName(v_r, symbols),
+               "hash partitioning (Section 3)", scheme);
   }
 
   // 3. Arbitrary fragmentation (Example 2), when the base relation has
   //    facts to fragment.
-  if (options.include_arbitrary_fragmentation) {
-    const Relation* base = edb->Find(sirup.s);
-    const Atom& base_atom = sirup.base_atoms.empty()
-                                ? sirup.exit.body[0]
-                                : sirup.base_atoms[0];
-    if (base != nullptr && !base->empty()) {
-      LinearSchemeOptions scheme;
-      CollectVariables(base_atom, &scheme.v_r);
-      CollectVariables(sirup.exit.body[0], &scheme.v_e);
-      scheme.h = MakeArbitraryFragmentation(*base, P, options.seed);
-      StatusOr<RewriteBundle> bundle =
-          RewriteLinearSirup(program, info, sirup, P, scheme);
-      if (bundle.ok()) {
-        candidates.push_back({"fragmented",
-                              "arbitrary fragmentation + broadcast "
-                              "(Example 2)",
-                              std::move(*bundle)});
-      }
-    }
+  const Relation* base = edb->Find(sirup.s);
+  if (options.include_arbitrary_fragmentation && base != nullptr &&
+      !base->empty()) {
+    add_linear("fragmented", "arbitrary fragmentation + broadcast (Example 2)",
+               FragmentationScheme(sirup, *edb, P, options.seed));
   }
 
   // 4. The Section 6 spectrum at the requested keep-fractions.
   for (double rho : options.tradeoff_rhos) {
-    TradeoffOptions scheme;
-    std::vector<Symbol> v_r = RecAtomVars(sirup);
-    scheme.v_r = v_r;
-    scheme.v_e = MatchingExitVars(sirup, v_r);
-    if (scheme.v_e.size() != v_r.size()) continue;
-    scheme.h_prime = DiscriminatingFunction::UniformHash(P, options.seed);
-    for (int i = 0; i < P; ++i) {
-      scheme.h_i.push_back(
-          DiscriminatingFunction::KeepOrHash(i, rho, P, options.seed));
-    }
-    StatusOr<RewriteBundle> bundle =
-        RewriteTradeoff(program, info, sirup, P, scheme);
-    if (!bundle.ok()) continue;
-    candidates.push_back(
-        {"tradeoff(" + TextTable::Cell(rho, 2) + ")",
-         "Section 6 spectrum, keep-fraction " + TextTable::Cell(rho, 2),
-         std::move(*bundle)});
+    add("tradeoff(" + TextTable::Cell(rho, 2) + ")",
+        "Section 6 spectrum, keep-fraction " + TextTable::Cell(rho, 2),
+        RewriteTradeoff(program, info, sirup, P,
+                        TradeoffScheme(sirup, rho, P, options.seed)));
   }
 
   if (candidates.empty()) {

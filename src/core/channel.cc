@@ -1,5 +1,6 @@
 #include "core/channel.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "core/wire.h"
@@ -215,9 +216,18 @@ size_t Channel::RetransmitUnacked() {
   while (!fx.unacked.empty() && fx.unacked.front().first < fx.deliver_next) {
     fx.unacked.pop_front();
   }
+  // Queued or delayed frames (a corrupted one until a drain discards
+  // it) are in flight, not lost: resending them would race the receiver.
+  std::vector<uint64_t> in_flight;
+  for (const auto& [seq, b] : fx.queue) in_flight.push_back(seq);
+  for (const Extras::Delayed& d : fx.delayed) in_flight.push_back(d.seq);
+  std::sort(in_flight.begin(), in_flight.end());
   size_t resent = 0;
   for (const auto& [seq, b] : fx.unacked) {
     if (fx.ahead.count(seq) != 0) continue;  // receiver already holds it
+    if (std::binary_search(in_flight.begin(), in_flight.end(), seq)) {
+      continue;
+    }
     fx.queue.emplace_back(seq, b);
     ++fx.counters.retransmitted;
     ++resent;

@@ -160,9 +160,10 @@ class Channel {
   void EnableRetransmit();
 
   // Sender side: re-enqueues every unacknowledged frame the receiver is
-  // still missing. Retransmissions bypass fault injection (faults apply
-  // to first transmissions), so one resend recovers a loss. Returns the
-  // number of frames re-enqueued.
+  // still missing and that is no longer in flight: a dropped frame, or a
+  // corrupted one a drain has discarded. Retransmissions bypass fault
+  // injection (faults apply to first transmissions), so each loss is
+  // resent exactly once. Returns the number of frames re-enqueued.
   size_t RetransmitUnacked();
 
   // Injected-event counts for this channel (zeroes when no injector).
@@ -334,37 +335,15 @@ class CommNetwork {
     return total;
   }
 
-  // Per-channel tuple totals, [from][to].
-  std::vector<std::vector<uint64_t>> SentMatrix() const {
+  // One per-channel total, [from][to]: pass &Channel::total_sent,
+  // &Channel::total_bytes or &Channel::total_frames.
+  std::vector<std::vector<uint64_t>> Matrix(
+      uint64_t (Channel::*total)() const) const {
     std::vector<std::vector<uint64_t>> m(
         num_processors_, std::vector<uint64_t>(num_processors_, 0));
     for (int i = 0; i < num_processors_; ++i) {
       for (int j = 0; j < num_processors_; ++j) {
-        m[i][j] = channel(i, j).total_sent();
-      }
-    }
-    return m;
-  }
-
-  // Per-channel wire bytes, [from][to].
-  std::vector<std::vector<uint64_t>> BytesMatrix() const {
-    std::vector<std::vector<uint64_t>> m(
-        num_processors_, std::vector<uint64_t>(num_processors_, 0));
-    for (int i = 0; i < num_processors_; ++i) {
-      for (int j = 0; j < num_processors_; ++j) {
-        m[i][j] = channel(i, j).total_bytes();
-      }
-    }
-    return m;
-  }
-
-  // Per-channel frame totals, [from][to].
-  std::vector<std::vector<uint64_t>> FramesMatrix() const {
-    std::vector<std::vector<uint64_t>> m(
-        num_processors_, std::vector<uint64_t>(num_processors_, 0));
-    for (int i = 0; i < num_processors_; ++i) {
-      for (int j = 0; j < num_processors_; ++j) {
-        m[i][j] = channel(i, j).total_frames();
+        m[i][j] = (channel(i, j).*total)();
       }
     }
     return m;

@@ -4,45 +4,49 @@
 
 namespace pdatalog {
 
-CostBreakdown BspCost(const std::vector<std::vector<RoundLog>>& rounds,
-                      const CostParams& params) {
-  CostBreakdown out;
-  const int workers = static_cast<int>(rounds.size());
+std::vector<std::vector<BspCell>> BspCells(
+    const std::vector<std::vector<RoundLog>>& rounds,
+    const CostParams& params) {
+  const size_t workers = rounds.size();
   size_t max_rounds = 0;
   for (const auto& log : rounds) max_rounds = std::max(max_rounds, log.size());
-
+  std::vector<std::vector<BspCell>> cells(workers,
+                                          std::vector<BspCell>(max_rounds));
   for (size_t k = 0; k < max_rounds; ++k) {
-    // Cross traffic of superstep k, charged to the receiver: messages
-    // worker i sends to j in its round k must be absorbed by j before
-    // its round k+1 can proceed, so they bound this superstep's
-    // communication phase.
     std::vector<uint64_t> recv_cross(workers, 0);
-    for (int i = 0; i < workers; ++i) {
+    for (size_t i = 0; i < workers; ++i) {
       if (k >= rounds[i].size()) continue;
-      const RoundLog& log = rounds[i][k];
-      for (int j = 0; j < workers; ++j) {
-        if (j != i && j < static_cast<int>(log.sent_to.size())) {
-          recv_cross[j] += log.sent_to[j];
-        }
+      const std::vector<uint64_t>& sent_to = rounds[i][k].sent_to;
+      for (size_t j = 0; j < workers && j < sent_to.size(); ++j) {
+        if (j != i) recv_cross[j] += sent_to[j];
       }
     }
-
-    double step_compute = 0.0;
-    double step_network = 0.0;
-    double step_total = 0.0;
-    for (int j = 0; j < workers; ++j) {
-      uint64_t firings = k < rounds[j].size() ? rounds[j][k].firings : 0;
-      double compute = static_cast<double>(firings) * params.cpu_per_firing;
-      double network =
+    for (size_t j = 0; j < workers; ++j) {
+      const uint64_t firings = k < rounds[j].size() ? rounds[j][k].firings : 0;
+      cells[j][k].compute =
+          static_cast<double>(firings) * params.cpu_per_firing;
+      cells[j][k].network =
           static_cast<double>(recv_cross[j]) * params.net_per_message;
-      step_compute = std::max(step_compute, compute);
-      step_network = std::max(step_network, network);
-      step_total = std::max(step_total, compute + network);
     }
-    out.compute += step_compute;
-    out.network += step_network;
-    out.makespan += step_total + params.round_latency;
-    ++out.supersteps;
+  }
+  return cells;
+}
+
+CostBreakdown BspCost(const std::vector<std::vector<RoundLog>>& rounds,
+                      const CostParams& params) {
+  const std::vector<std::vector<BspCell>> cells = BspCells(rounds, params);
+  CostBreakdown out;
+  out.supersteps = cells.empty() ? 0 : static_cast<int>(cells[0].size());
+  for (int k = 0; k < out.supersteps; ++k) {
+    double compute = 0.0, network = 0.0, total = 0.0;
+    for (const std::vector<BspCell>& worker : cells) {
+      compute = std::max(compute, worker[k].compute);
+      network = std::max(network, worker[k].network);
+      total = std::max(total, worker[k].compute + worker[k].network);
+    }
+    out.compute += compute;
+    out.network += network;
+    out.makespan += total + params.round_latency;
   }
   return out;
 }

@@ -35,10 +35,20 @@ struct CostBreakdown {
   int supersteps = 0;
 };
 
-// `rounds[i]` is worker i's log (rounds[i][k] = its k-th round; workers
-// may have different round counts — missing rounds cost nothing).
-// Self-channel messages are free: routing a tuple to yourself is not
-// communication.
+// Worker i's charge in superstep k: its round-k firings times cpu, and
+// the cross messages the others sent it in their round k times net.
+// `rounds[i]` is worker i's log (rounds[i][k] = its k-th round; missing
+// rounds cost nothing); self-channel messages are free. cells[i][k]
+// spans every superstep up to the longest log.
+struct BspCell {
+  double compute = 0.0;
+  double network = 0.0;
+};
+std::vector<std::vector<BspCell>> BspCells(
+    const std::vector<std::vector<RoundLog>>& rounds,
+    const CostParams& params);
+
+// The makespan over BspCells: each superstep costs its most loaded cell.
 CostBreakdown BspCost(const std::vector<std::vector<RoundLog>>& rounds,
                       const CostParams& params);
 

@@ -91,32 +91,4 @@ std::string DataflowGraph::ToString() const {
   return out;
 }
 
-StatusOr<LinearSchemeOptions> CommunicationFreeScheme(
-    const LinearSirup& sirup, int num_processors, uint64_t seed) {
-  DataflowGraph graph = DataflowGraph::Build(sirup);
-  std::vector<int> cycle = graph.CyclePositions();
-  if (cycle.empty()) {
-    return Status::FailedPrecondition(
-        "dataflow graph is acyclic; Theorem 3 does not apply");
-  }
-
-  const std::vector<Symbol> y = sirup.BodyVarsY();
-  const std::vector<Symbol> z = sirup.ExitVarsZ();
-  LinearSchemeOptions options;
-  for (int pos : cycle) {
-    if (y[pos] == kInvalidSymbol || z[pos] == kInvalidSymbol) {
-      return Status::FailedPrecondition(
-          "cycle position holds a constant; cannot build the "
-          "communication-free sequence");
-    }
-    options.v_r.push_back(y[pos]);
-    options.v_e.push_back(z[pos]);
-  }
-  // Along the cycle, the produced tuple's discriminating values are a
-  // cyclic shift of the consumed tuple's, so the hash must be
-  // order-invariant for the target processor to stay fixed.
-  options.h = DiscriminatingFunction::SymmetricHash(num_processors, seed);
-  return options;
-}
-
 }  // namespace pdatalog

@@ -1,16 +1,14 @@
-// Dataflow graphs of linear recursive rules (Section 5, Definition 2)
-// and the constructive side of Theorem 3: a cycle yields a choice of
-// discriminating sequence that makes the parallel execution
-// communication-free.
+// Dataflow graphs of linear recursive rules (Section 5, Definition 2).
+// A cycle yields a choice of discriminating sequence that makes the
+// parallel execution communication-free (Theorem 3); core/schemes.h
+// builds that scheme.
 #ifndef PDATALOG_CORE_DATAFLOW_GRAPH_H_
 #define PDATALOG_CORE_DATAFLOW_GRAPH_H_
 
 #include <string>
 #include <vector>
 
-#include "core/rewrite.h"
 #include "datalog/analysis.h"
-#include "util/status.h"
 
 namespace pdatalog {
 
@@ -33,16 +31,6 @@ struct DataflowGraph {
   // e.g. "1 -> 2, 2 -> 3" (1-based, matching Figures 1 and 2).
   std::string ToString() const;
 };
-
-// Theorem 3 (constructive): if the dataflow graph has a cycle, returns a
-// scheme specification whose parallel execution requires no
-// communication: v(r) = the variables at the cycle positions of Y,
-// v(e) = the exit-head variables at the same column positions, and a
-// symmetric (order-invariant) hash, since along a cycle the produced
-// tuple's discriminating values are a permutation of the consumed
-// tuple's. Fails if the graph is acyclic.
-StatusOr<LinearSchemeOptions> CommunicationFreeScheme(
-    const LinearSirup& sirup, int num_processors, uint64_t seed = 0x5eed);
 
 }  // namespace pdatalog
 

@@ -382,9 +382,9 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
 
   ParallelResult result;
   result.wall_seconds = watch.ElapsedSeconds();
-  result.channel_matrix = network.SentMatrix();
-  result.bytes_matrix = network.BytesMatrix();
-  result.frames_matrix = network.FramesMatrix();
+  result.channel_matrix = network.Matrix(&Channel::total_sent);
+  result.bytes_matrix = network.Matrix(&Channel::total_bytes);
+  result.frames_matrix = network.Matrix(&Channel::total_frames);
   result.faults = network.AggregateFaultCounters();
   MetricsRegistry& m = result.metrics;
   for (int i = 0; i < bundle.num_processors; ++i) {

@@ -119,8 +119,6 @@ class RemapView : public ConstraintEvaluator {
   const std::vector<uint64_t>& bucket_heat() const { return bucket_heat_; }
   void ResetBucketCounts();
 
-  const DiscriminatingFunction& routing_function() const { return routing_; }
-
  private:
   const DiscriminatingRegistry* base_;
   int function_;

@@ -136,30 +136,16 @@ ProfileContext MakeProfileContext(const ParallelResult& result) {
 
 std::string RenderBspTimeline(const ParallelResult& result,
                               double cpu_cost, double net_cost, int width) {
-  const size_t n = result.worker_rounds.size();
-  size_t max_rounds = 0;
-  for (const auto& log : result.worker_rounds) {
-    max_rounds = std::max(max_rounds, log.size());
-  }
-  if (n == 0 || max_rounds == 0) return "(no rounds)\n";
-
-  // Per (worker, superstep) cost, mirroring BspCost's attribution.
-  std::vector<std::vector<double>> cost(n,
-                                        std::vector<double>(max_rounds, 0));
+  // Per (worker, superstep) cost, as BspCost charges it.
+  const std::vector<std::vector<BspCell>> cells =
+      BspCells(result.worker_rounds, CostParams{cpu_cost, net_cost, 0.0});
+  const size_t n = cells.size();
+  const size_t max_rounds = n == 0 ? 0 : cells[0].size();
+  if (max_rounds == 0) return "(no rounds)\n";
   double max_cost = 0;
-  for (size_t k = 0; k < max_rounds; ++k) {
-    for (size_t j = 0; j < n; ++j) {
-      double c = 0;
-      if (k < result.worker_rounds[j].size()) {
-        c += result.worker_rounds[j][k].firings * cpu_cost;
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (i == j || k >= result.worker_rounds[i].size()) continue;
-        const RoundLog& log = result.worker_rounds[i][k];
-        if (j < log.sent_to.size()) c += log.sent_to[j] * net_cost;
-      }
-      cost[j][k] = c;
-      max_cost = std::max(max_cost, c);
+  for (const std::vector<BspCell>& worker : cells) {
+    for (const BspCell& cell : worker) {
+      max_cost = std::max(max_cost, cell.compute + cell.network);
     }
   }
   if (max_cost == 0) max_cost = 1;
@@ -178,7 +164,7 @@ std::string RenderBspTimeline(const ParallelResult& result,
       size_t hi = static_cast<size_t>(k + 1) * max_rounds / cols;
       double c = 0;
       for (size_t r = lo; r < std::max(hi, lo + 1) && r < max_rounds; ++r) {
-        c = std::max(c, cost[j][r]);
+        c = std::max(c, cells[j][r].compute + cells[j][r].network);
       }
       double share = c / max_cost;
       out += share > 0.75  ? '#'

@@ -74,8 +74,6 @@ struct Rule {
   std::vector<Atom> body;
   std::vector<HashConstraint> constraints;
 
-  bool IsFact() const { return body.empty() && constraints.empty(); }
-
   // Distinct variables of head and body, in first-occurrence order.
   std::vector<Symbol> Variables() const;
 

@@ -25,13 +25,6 @@ int FindVar(const std::vector<Symbol>& names, Symbol sym) {
 
 }  // namespace
 
-std::vector<int> CompiledRule::VarIds(const std::vector<Symbol>& vars) const {
-  std::vector<int> ids;
-  ids.reserve(vars.size());
-  for (Symbol v : vars) ids.push_back(FindVar(var_names_, v));
-  return ids;
-}
-
 StatusOr<CompiledRule> CompiledRule::Compile(const Rule& rule,
                                              int preferred_first,
                                              bool greedy_order) {

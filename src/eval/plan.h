@@ -103,22 +103,11 @@ class CompiledRule {
   const Rule& rule() const { return rule_; }
   int num_vars() const { return num_vars_; }
   const std::vector<PlanStep>& steps() const { return steps_; }
-  const std::vector<PlanPos>& head_recipe() const { return head_recipe_; }
 
   // (predicate, column mask) pairs for which indexes must exist and
   // cover all scanned rows before Execute() runs.
   const std::vector<std::pair<Symbol, uint32_t>>& required_indexes() const {
     return required_indexes_;
-  }
-
-  // The variable ids (in rule-local numbering) of `vars`; -1 for names
-  // that do not occur in the rule body.
-  std::vector<int> VarIds(const std::vector<Symbol>& vars) const;
-
-  // Per constraint (parallel to rule().constraints): dense variable ids
-  // of its discriminating sequence.
-  const std::vector<std::vector<int>>& constraint_var_ids() const {
-    return constraint_var_ids_;
   }
 
   // Human-readable access plan (EXPLAIN output), e.g.

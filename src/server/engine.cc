@@ -171,7 +171,6 @@ void ServerEngine::RecordQuery(
   }
 
   std::lock_guard<std::mutex> lock(stats_mu_);
-  query_hist_.Record(latency);
   query_window_.Record(latency);
   metrics_.AddCounter("serve.queries", 1);
   if (ok) {
@@ -339,7 +338,6 @@ void ServerEngine::MaintenanceLoop() {
     // the lag of its oldest fact (enqueue -> publish).
     {
       std::lock_guard<std::mutex> stats(stats_mu_);
-      update_hist_.Record(end - begin);
       update_window_.Record(end - begin);
       metrics_.AddCounter("serve.update_batches", 1);
       metrics_.AddCounter("serve.updates_applied", inserted);
@@ -395,8 +393,8 @@ std::shared_ptr<const TelemetrySample> ServerEngine::Sample(bool rotate) {
       update_window_.Rotate();
     }
     m = metrics_;
-    query = query_hist_;
-    update = update_hist_;
+    query = query_window_.lifetime();
+    update = update_window_.lifetime();
     flush = flush_hist_;
     query_window = query_window_.WindowMerged();
     update_window = update_window_.WindowMerged();

@@ -270,11 +270,11 @@ class ServerEngine {
   // anything that could back-pressure the hot paths.
   mutable std::mutex stats_mu_;
   MetricsRegistry metrics_;
-  Histogram query_hist_;    // hist.query_ns
-  Histogram update_hist_;   // hist.update_batch_ns (maintenance)
   Histogram flush_hist_;    // hist.flush_wait_ns
-  WindowedHistogram query_window_;   // hist.query_window_ns
-  WindowedHistogram update_window_;  // hist.update_batch_window_ns
+  // Windows export hist.query_window_ns / hist.update_batch_window_ns;
+  // their lifetimes export hist.query_ns / hist.update_batch_ns.
+  WindowedHistogram query_window_;
+  WindowedHistogram update_window_;  // maintenance batches
   SlowQueryRing slow_queries_;
 
   // Sample history + latest published sample (tiny critical sections;

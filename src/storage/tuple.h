@@ -40,7 +40,6 @@ class Tuple {
   const Value* data() const {
     return size_ <= kInline ? inline_ : heap_;
   }
-  Value* mutable_data() { return size_ <= kInline ? inline_ : heap_; }
 
   Value operator[](int i) const { return data()[i]; }
 

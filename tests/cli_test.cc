@@ -194,6 +194,51 @@ TEST(CliRunTest, PrintProgramsShowsConstraints) {
   EXPECT_NE(report->find("= 1."), std::string::npos);
 }
 
+// Example 3 hashes the recursive atom's join variable Z (v(e) = <X>),
+// so par fragments on it instead of staying replicated.
+TEST(CliRunTest, Example3IsThePapersExample3) {
+  StatusOr<CliOptions> options = ParseCliArgs(
+      {"--scheme=example3", "--processors=2", "--print-programs", "p.dl"});
+  ASSERT_TRUE(options.ok());
+  StatusOr<std::string> report = RunCli(*options, kAncestor);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_NE(report->find("anc_in(Z, Y), h(Z) = 1."), std::string::npos)
+      << *report;
+  EXPECT_NE(report->find("h'(X) = 1."), std::string::npos) << *report;
+  EXPECT_EQ(report->find("h(Z, Y)"), std::string::npos) << *report;
+}
+
+// The built-in acyclic sirup under every scheme that applies to it:
+// each prints the sequential least model.
+TEST(CliRunTest, SameGenerationAgreesUnderEverySirupScheme) {
+  const std::string facts =
+      "up(a, b).  up(c, d).  up(e, b).  up(x, a).  flat(b, d).\n"
+      "flat(d, b).  down(d, f).  down(b, g).  down(b, h).  down(f, z).\n";
+  auto run = [&](std::vector<std::string> args) {
+    args.insert(args.end(), {"--program=same_generation", "--dump=sg"});
+    StatusOr<CliOptions> options = ParseCliArgs(args);
+    EXPECT_TRUE(options.ok());
+    return RunCli(*options, facts);
+  };
+  StatusOr<std::string> seq = run({"--mode=seq"});
+  ASSERT_TRUE(seq.ok()) << seq.status().ToString();
+  const std::string expected = seq->substr(seq->find("\nsg:\n"));
+  EXPECT_NE(expected.find("(x, z)"), std::string::npos) << expected;
+  for (const char* scheme : {"--scheme=auto", "--scheme=example2",
+                             "--scheme=example3", "--scheme=tradeoff",
+                             "--scheme=general"}) {
+    StatusOr<std::string> report = run({scheme});
+    ASSERT_TRUE(report.ok()) << scheme << ": " << report.status().ToString();
+    EXPECT_EQ(report->substr(report->find("\nsg:\n")), expected) << scheme;
+  }
+  EXPECT_NE(run({"--scheme=example3"})->find("v(r) = <U,V>, v(e) = <X,Y>"),
+            std::string::npos);
+  // No dataflow cycle, so Example 1 (Theorem 3) does not apply.
+  StatusOr<std::string> example1 = run({"--scheme=example1"});
+  ASSERT_FALSE(example1.ok());
+  EXPECT_NE(example1.status().message().find("acyclic"), std::string::npos);
+}
+
 TEST(CliRunTest, TradeoffSchemeRuns) {
   StatusOr<CliOptions> options =
       ParseCliArgs({"--scheme=tradeoff", "--rho=1.0", "p.dl"});
@@ -394,8 +439,11 @@ TEST(CliRunTest, EveryModeReportsTheSameDatabase) {
       {"--mode=seq"},
       {"--mode=naive"},
       {"--mode=par", "--scheme=example1"},
+      {"--mode=par", "--scheme=example2"},
       {"--mode=par", "--scheme=example3"},
-      {"--mode=par", "--scheme=general"}};
+      {"--mode=par", "--scheme=tradeoff"},
+      {"--mode=par", "--scheme=general"},
+      {"--mode=par", "--scheme=auto"}};
   std::map<std::string, std::string> expected_output;
   std::map<std::string, std::vector<std::string>> expected_files;
   for (size_t m = 0; m < modes.size(); ++m) {

@@ -49,6 +49,34 @@ TEST(CostModelTest, CrossMessagesChargedToReceiver) {
   EXPECT_DOUBLE_EQ(cost.compute, 0.0);
 }
 
+// Three workers with uneven logs. BspCells is the one attribution the
+// makespan and the profile's timeline both read.
+TEST(CostModelTest, BspCellsChargeReceiversAndBspCostTakesTheirMax) {
+  std::vector<std::vector<RoundLog>> rounds(3);
+  rounds[0] = {MakeLog(8, {0, 2, 0}), MakeLog(0, {0, 0, 0}),
+               MakeLog(1, {0, 0, 6}), MakeLog(4, {0, 0, 0})};
+  rounds[1] = {MakeLog(2, {1, 0, 0}), MakeLog(5, {0, 0, 3})};
+  rounds[2] = {MakeLog(0, {0, 0, 0}), MakeLog(0, {0, 0, 0}),
+               MakeLog(2, {0, 0, 0})};
+  const CostParams params{1.0, 2.0, 1.0};
+  std::vector<std::vector<BspCell>> cells = BspCells(rounds, params);
+  ASSERT_EQ(cells.size(), 3u);
+  const double compute[3][4] = {{8, 0, 1, 4}, {2, 5, 0, 0}, {0, 0, 2, 0}};
+  const double network[3][4] = {{2, 0, 0, 0}, {4, 0, 0, 0}, {0, 6, 12, 0}};
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(cells[i].size(), 4u);
+    for (int k = 0; k < 4; ++k) {
+      EXPECT_DOUBLE_EQ(cells[i][k].compute, compute[i][k]) << i << "," << k;
+      EXPECT_DOUBLE_EQ(cells[i][k].network, network[i][k]) << i << "," << k;
+    }
+  }
+  CostBreakdown cost = BspCost(rounds, params);
+  EXPECT_DOUBLE_EQ(cost.makespan, 10 + 6 + 14 + 4 + 4 * 1.0);
+  EXPECT_DOUBLE_EQ(cost.compute, 8 + 5 + 2 + 4);
+  EXPECT_DOUBLE_EQ(cost.network, 4 + 6 + 12 + 0);
+  EXPECT_EQ(cost.supersteps, 4);
+}
+
 TEST(CostModelTest, RoundLatencyPerSuperstep) {
   std::vector<std::vector<RoundLog>> rounds(1);
   rounds[0].push_back(MakeLog(1, {0}));

@@ -1,4 +1,5 @@
 #include "core/dataflow_graph.h"
+#include "core/schemes.h"
 
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"

@@ -225,6 +225,77 @@ TEST(FaultChannelTest, RetransmitStopsOnceAcknowledged) {
   EXPECT_EQ(channel.total_bytes(), BlockWireBytes(2, 1));
 }
 
+// A resend is due only once a frame has left the channel without being
+// delivered, so however often the sender polls, every loss is resent
+// exactly once and nothing else is.
+TEST(FaultChannelTest, RetransmitSkipsQueuedFrames) {
+  Channel channel;
+  channel.EnableRetransmit();
+  channel.Send(RowBlock(1, {1, 2}));
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);  // still queued
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.Drain(&out), 1u);
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);
+  EXPECT_EQ(channel.fault_counters().retransmitted, 0u);
+}
+
+TEST(FaultChannelTest, RetransmitSkipsDelayedFrames) {
+  Channel channel;
+  FaultSpec spec;
+  spec.delay = 1.0;
+  spec.delay_polls = 3;
+  channel.ConfigureFaults(spec, 0, 1);
+  channel.EnableRetransmit();
+  channel.Send(RowBlock(1, {1, 2}));
+  std::vector<TupleBlock> out;
+  size_t delivered = 0;
+  for (int poll = 0; poll < spec.delay_polls; ++poll) {
+    EXPECT_EQ(channel.RetransmitUnacked(), 0u) << "poll " << poll;
+    delivered += channel.Drain(&out);
+  }
+  EXPECT_EQ(delivered, 1u);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(channel.fault_counters().retransmitted, 0u);
+  EXPECT_EQ(channel.fault_counters().duplicates_discarded, 0u);
+}
+
+TEST(FaultChannelTest, RetransmitResendsADroppedFrameOnce) {
+  Channel channel;
+  FaultSpec spec;
+  spec.drop = 1.0;
+  channel.ConfigureFaults(spec, 0, 1);
+  channel.EnableRetransmit();
+  channel.Send(RowBlock(1, {1, 2}));
+  EXPECT_EQ(channel.RetransmitUnacked(), 1u);
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);  // the resend is queued
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.Drain(&out), 1u);
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);
+  const FaultCounters counters = channel.fault_counters();
+  EXPECT_EQ(counters.retransmitted, counters.dropped);
+  EXPECT_EQ(counters.duplicates_discarded, 0u);
+}
+
+TEST(FaultChannelTest, RetransmitResendsACorruptFrameOnceDrained) {
+  Channel channel;
+  FaultSpec spec;
+  spec.corrupt = 1.0;
+  channel.ConfigureFaults(spec, 0, 1);
+  channel.EnableRetransmit();
+  channel.Send(EncodedFrame(RowBlock(5, {1, 2})));
+  // The broken copy is still queued: not lost until a drain discards it.
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);
+  std::vector<TupleBlock> out;
+  EXPECT_EQ(channel.Drain(&out), 0u);
+  EXPECT_EQ(channel.RetransmitUnacked(), 1u);
+  EXPECT_EQ(channel.RetransmitUnacked(), 0u);
+  EXPECT_EQ(channel.Drain(&out), 1u);
+  const FaultCounters counters = channel.fault_counters();
+  EXPECT_EQ(counters.retransmitted, counters.corrupted);
+  EXPECT_EQ(counters.corrupt_discarded, 1u);
+  EXPECT_EQ(counters.duplicates_discarded, 0u);
+}
+
 // ---------------------------------------------------------------------
 // One table for every injector action through the single Send/Drain:
 // object and encoded frames, each on an unreliable and a reliable
@@ -458,6 +529,10 @@ TEST_P(FaultMatrixTest, AncestorExactUnderEveryFaultModeWithRetransmit) {
     EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected)
         << mode.name;
     EXPECT_TRUE(result->faults.any()) << mode.name << ": injector idle";
+    // Each loss is resent once, whatever the thread timing.
+    EXPECT_EQ(result->faults.retransmitted,
+              result->faults.dropped + result->faults.corrupted)
+        << mode.name;
   }
 }
 

@@ -3,6 +3,7 @@
 // the paper states (rewritten rules, communication patterns, graphs).
 #include "core/dataflow_graph.h"
 #include "core/network_graph.h"
+#include "core/schemes.h"
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"
 #include "workload/generators.h"

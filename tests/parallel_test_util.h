@@ -7,6 +7,7 @@
 
 #include "core/engine.h"
 #include "core/partition.h"
+#include "core/schemes.h"
 #include "core/wire.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
@@ -15,12 +16,12 @@
 namespace pdatalog {
 namespace testing_util {
 
-// The three ancestor parallelizations of Section 4.
-enum class AncestorScheme {
-  kExample1,  // v(r) = v(e) = <Y>: no communication, par shared
-  kExample2,  // v(r) = <X,Z>, h = fragmentation lookup: broadcast
-  kExample3,  // v(e) = <X>, v(r) = <Z>: point-to-point
-};
+// The three ancestor parallelizations of Section 4, as the scheme
+// catalogue builds them (core/schemes.h):
+//   kExample1  v(r) = v(e) = <Y>: no communication, par shared
+//   kExample2  v(r) = <X,Z>, h = fragmentation lookup: broadcast
+//   kExample3  v(r) = <Z>, v(e) = <X>: par fragmented, point-to-point
+using AncestorScheme = SchemeKind;
 
 struct AncestorSetup {
   SymbolTable symbols;
@@ -45,36 +46,21 @@ inline std::unique_ptr<AncestorSetup> MakeAncestorSetup() {
   return setup;
 }
 
-// Builds the Section 4 scheme bundle. For Example 2 the fragmentation
-// function is derived from the current contents of setup->edb["par"].
+// Builds the Section 4 scheme bundle from the scheme catalogue. For
+// Example 2 the fragmentation function is derived from the current
+// contents of setup->edb["par"].
 inline RewriteBundle MakeAncestorBundle(AncestorSetup* setup,
                                         AncestorScheme scheme, int P,
                                         uint64_t seed = 0x5eed) {
-  LinearSchemeOptions options;
-  SymbolTable& symbols = setup->symbols;
-  switch (scheme) {
-    case AncestorScheme::kExample1:
-      options.v_r = {symbols.Intern("Y")};
-      options.v_e = {symbols.Intern("Y")};
-      options.h = DiscriminatingFunction::UniformHash(P, seed);
-      break;
-    case AncestorScheme::kExample2: {
-      options.v_r = {symbols.Intern("X"), symbols.Intern("Z")};
-      options.v_e = {symbols.Intern("X"), symbols.Intern("Y")};
-      Relation& par = setup->edb.GetOrCreate(symbols.Intern("par"), 2);
-      options.h = MakeArbitraryFragmentation(par, P, seed);
-      break;
-    }
-    case AncestorScheme::kExample3:
-      options.v_r = {symbols.Intern("Z")};
-      options.v_e = {symbols.Intern("X")};
-      options.h = DiscriminatingFunction::UniformHash(P, seed);
-      break;
-  }
-  StatusOr<RewriteBundle> bundle = RewriteLinearSirup(
-      setup->program, setup->info, setup->sirup, P, options);
-  EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
-  return std::move(*bundle);
+  setup->edb.GetOrCreate(setup->symbols.Intern("par"), 2);
+  SchemeRequest request;
+  request.kind = scheme;
+  request.processors = P;
+  request.seed = seed;
+  StatusOr<BuiltScheme> built = BuildScheme(setup->program, setup->info,
+                                            setup->edb, request);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built->bundle);
 }
 
 // Sequential reference run over a copy of the EDB facts in `setup`.

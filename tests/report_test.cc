@@ -171,6 +171,30 @@ TEST(TimelineTest, RendersOneRowPerProcessor) {
   EXPECT_EQ(std::count(timeline.begin(), timeline.end(), '\n'), 4);
 }
 
+// The shades are BspCost's per-(worker, superstep) charge (see
+// CostModelTest.BspCellsChargeReceiversAndBspCostTakesTheirMax): cells
+// of 10, 0, 1, 4 / 6, 5, 0, 0 / 0, 6, 14, 0 against a maximum of 14.
+TEST(TimelineTest, PinnedShadesFollowBspCost) {
+  auto log = [](uint64_t firings, std::vector<uint64_t> sent_to) {
+    RoundLog r;
+    r.firings = firings;
+    r.sent_to = std::move(sent_to);
+    return r;
+  };
+  ParallelResult result;
+  result.worker_rounds = {
+      {log(8, {0, 2, 0}), log(0, {0, 0, 0}), log(1, {0, 0, 6}),
+       log(4, {0, 0, 0})},
+      {log(2, {1, 0, 0}), log(5, {0, 0, 3})},
+      {log(0, {0, 0, 0}), log(0, {0, 0, 0}), log(2, {0, 0, 0})}};
+  EXPECT_EQ(RenderBspTimeline(result, 1.0, 2.0),
+            "BSP timeline (cpu=1.0, net=2.0; column = superstep, darker = "
+            "more loaded):\n"
+            "p0 |+ ..|\n"
+            "p1 |+.  |\n"
+            "p2 | +# |\n");
+}
+
 TEST(TimelineTest, EmptyRunHandled) {
   ParallelResult result;
   EXPECT_EQ(RenderBspTimeline(result, 1.0, 1.0), "(no rounds)\n");

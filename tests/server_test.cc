@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <thread>
@@ -386,6 +387,38 @@ TEST(ServerEngineTest, TraceSpansAndStatsRecorded) {
   std::string stats = (*engine)->StatsReport();
   EXPECT_NE(stats.find("epoch"), std::string::npos);
   EXPECT_NE(stats.find("hist.query_ns"), std::string::npos);
+}
+
+// The lifetime histograms are the sliding windows' lifetimes: one record
+// per query and per maintenance batch, kept after the windows rotate on.
+TEST(ServerEngineTest, LifetimeHistogramsCountEveryQueryAndBatch) {
+  ServerOptions options;
+  options.sample_interval_ms = 1;
+  options.window_intervals = 1;
+  StatusOr<std::unique_ptr<ServerEngine>> engine =
+      ServerEngine::Create(kChainProgram, options);
+  ASSERT_TRUE(engine.ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE((*engine)
+                    ->SubmitFactText("par(" + NodeName(i + 1) + ", " +
+                                     NodeName(i + 2) + ")")
+                    .ok());
+    (*engine)->Flush();
+    for (int q = 0; q < 4; ++q) {
+      ASSERT_TRUE((*engine)->QueryText("anc(n0, X)").ok());
+    }
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  MetricsRegistry metrics = (*engine)->MetricsCopy();
+  const Histogram* query = metrics.FindHistogram("hist.query_ns");
+  const Histogram* update = metrics.FindHistogram("hist.update_batch_ns");
+  ASSERT_NE(query, nullptr);
+  ASSERT_NE(update, nullptr);
+  EXPECT_EQ(query->count(), metrics.counter("serve.queries"));
+  EXPECT_EQ(query->count(), 12u);
+  EXPECT_EQ(update->count(), metrics.counter("serve.update_batches"));
+  EXPECT_GE(update->count(), 3u);
 }
 
 // --- protocol ------------------------------------------------------

@@ -2,7 +2,7 @@
 // sirups (repeated variables, constants in heads, partial variable
 // overlap) run under every applicable Section 3/5/6 scheme and compared
 // against the sequential evaluation.
-#include "core/dataflow_graph.h"
+#include "core/schemes.h"
 #include "eval/naive.h"
 #include "gtest/gtest.h"
 #include "parallel_test_util.h"

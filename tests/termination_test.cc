@@ -126,12 +126,13 @@ TEST(CommNetworkTest, MatrixShape) {
   network.channel(0, 2).Send(RowBlock(1, {1}));
   network.channel(0, 2).Send(RowBlock(1, {2}));
   network.channel(1, 0).Send(RowBlock(1, {3}));
-  auto m = network.SentMatrix();
+  auto m = network.Matrix(&Channel::total_sent);
   EXPECT_EQ(m[0][2], 2u);
   EXPECT_EQ(m[1][0], 1u);
   EXPECT_EQ(m[2][1], 0u);
-  EXPECT_EQ(network.FramesMatrix()[0][2], 2u);
-  EXPECT_EQ(network.BytesMatrix()[1][0], BlockWireBytes(1, 1));
+  EXPECT_EQ(network.Matrix(&Channel::total_frames)[0][2], 2u);
+  EXPECT_EQ(network.Matrix(&Channel::total_bytes)[1][0],
+            BlockWireBytes(1, 1));
 }
 
 TEST(CommNetworkTest, ChannelsAreDistinct) {
