@@ -108,6 +108,13 @@ StatusOr<AdvisorReport> AdviseScheme(const Program& program,
   for (const std::vector<Symbol>& v_r : hash_sequences) {
     LinearSchemeOptions scheme = HashScheme(sirup, v_r, P, options.seed);
     if (scheme.v_e.size() != v_r.size()) continue;
+    // A one-position Theorem 3 cycle hashes uniformly on the same
+    // sequences: the same bundle, already a candidate.
+    if (free_scheme.ok() && scheme.v_r == free_scheme->v_r &&
+        scheme.v_e == free_scheme->v_e &&
+        scheme.h.kind == free_scheme->h.kind) {
+      continue;
+    }
     add_linear("hash" + SequenceName(v_r, symbols),
                "hash partitioning (Section 3)", scheme);
   }

@@ -211,28 +211,39 @@ void ProjectScalarsFromMetrics(ParallelResult* result) {
   result->pooled_tuples = m.counter("run.pooled_tuples");
 }
 
-// True when every processor's sending rules route every row of `p`'s
-// t_out to at least one processor: each processor has a spec for `p`
-// whose pattern is all distinct variables, so the spec matches any
-// tuple. A constant or a repeated variable in the pattern lets some
-// rows match no spec and stay in t_out only.
-bool SendsCoverEveryRow(const RewriteBundle& bundle, Symbol p) {
-  auto matches_all = [p](const SendSpec& spec) {
-    if (spec.predicate != p) return false;
+}  // namespace
+
+bool SendsPartition(const RewriteBundle& bundle, Symbol p) {
+  const SendSpec* first = nullptr;
+  for (const std::vector<SendSpec>& sends : bundle.sends) {
+    const SendSpec* only = nullptr;
+    for (const SendSpec& spec : sends) {
+      if (spec.predicate != p) continue;
+      if (only != nullptr) return false;  // two sends for p
+      only = &spec;
+    }
+    if (only == nullptr || !only->determined) return false;
+    if (first == nullptr) {
+      first = only;
+    } else if (only->function != first->function ||
+               only->var_positions != first->var_positions) {
+      return false;
+    }
     std::unordered_set<Symbol> vars;
-    for (const Term& term : spec.pattern.args) {
+    for (const Term& term : only->pattern.args) {
       if (!term.is_var() || !vars.insert(term.sym).second) return false;
     }
-    return true;
-  };
-  return std::all_of(bundle.sends.begin(), bundle.sends.end(),
-                     [&](const std::vector<SendSpec>& sends) {
-                       return std::any_of(sends.begin(), sends.end(),
-                                          matches_all);
-                     });
+  }
+  if (first == nullptr) return false;
+  switch (bundle.registry->function(first->function).kind) {
+    case DiscriminatingFunction::Kind::kKeepOrHash:
+    case DiscriminatingFunction::Kind::kRemapped:
+    case DiscriminatingFunction::Kind::kCustom:
+      return false;
+    default:
+      return true;
+  }
 }
-
-}  // namespace
 
 StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
                                      Database* edb,
@@ -434,14 +445,13 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
   // (6-byte header, u32 per value, u32 checksum); no channel moves these
   // bytes.
   //
-  // Source per predicate: when the sending rules route every t_out row
-  // somewhere (SendsCoverEveryRow), the receivers' t_in relations hold
-  // the whole fixpoint, already deduplicated on ingest; under a
-  // determined send they partition it. Those are pooled whenever they
-  // are no larger than the t_out relations (a broadcast puts up to P
-  // copies of a tuple into the t_ins). Otherwise, and for predicates no
-  // rule consumes, the t_outs are pooled. Either way one deduplicating
-  // merge runs, so overlapping sources stay correct.
+  // Source per predicate: when the sends partition it (SendsPartition)
+  // and no rebalancer moved buckets, every derived tuple sits in exactly
+  // one receiver's t_in, already deduplicated on ingest, so the pooled
+  // relation is those t_ins appended in worker order with no probe.
+  // Every other predicate (broadcasts, keep-or-hash, patterns some rows
+  // miss, predicates no rule consumes, rebalanced runs) merges its
+  // t_outs through one deduplicating InsertAll.
   auto pooling_frame_bytes = [](int arity) {
     return 6 + 4 * static_cast<uint64_t>(arity) + 4;
   };
@@ -449,29 +459,31 @@ StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
     TraceScope pool_span(
         options.tracer != nullptr ? options.tracer->engine_ring() : nullptr,
         TracePhase::kPool);
-    std::vector<const Relation*> outs(workers.size());
-    std::vector<const Relation*> ins(workers.size());
+    std::vector<const Relation*> sources(workers.size());
     for (Symbol p : bundle.derived) {
       const int arity = bundle.arity.at(p);
+      const bool partitioned =
+          rebalance == nullptr && SendsPartition(bundle, p);
       uint64_t out_total = 0;
-      uint64_t in_total = 0;
       for (size_t w = 0; w < workers.size(); ++w) {
-        outs[w] = &workers[w]->OutputRelation(p);
-        ins[w] = workers[w]->local_db().Find(bundle.in_name.at(p));
-        out_total += outs[w]->size();
-        in_total += ins[w]->size();
+        const Relation& t_out = workers[w]->OutputRelation(p);
+        out_total += t_out.size();
+        sources[w] = partitioned
+                         ? workers[w]->local_db().Find(bundle.in_name.at(p))
+                         : &t_out;
       }
       m.AddCounter("run.out_tuples_total", out_total);
-      const std::vector<const Relation*>& sources =
-          in_total <= out_total && SendsCoverEveryRow(bundle, p) ? ins : outs;
       for (size_t w = 1; w < workers.size(); ++w) {
         m.AddCounter("run.pooling_messages", sources[w]->size());
         m.AddCounter("run.pooling_bytes",
                      sources[w]->size() * pooling_frame_bytes(arity));
       }
-      // One presized bulk merge; first occurrences in worker order.
       Relation& pooled = result.output.GetOrCreate(p, arity);
-      pooled.InsertAll(sources);
+      if (partitioned) {
+        pooled.AppendDisjoint(sources);
+      } else {
+        pooled.InsertAll(sources);  // first occurrences in worker order
+      }
       m.AddCounter("run.pooled_tuples", pooled.size());
     }
   }

@@ -68,12 +68,12 @@ struct ParallelOptions {
 };
 
 struct ParallelResult {
-  // Pooled derived relations under their original predicate names.
-  // Each predicate is pooled from the workers' t_in relations when the
-  // sending rules route every t_out row to some processor and the t_ins
-  // are no larger than the t_outs, else from the t_outs. Rows are in
-  // first-occurrence order over the chosen sources in worker order, so
-  // the order depends on which source was chosen.
+  // Pooled derived relations under their original predicate names. A
+  // predicate whose sends partition it (SendsPartition, no rebalancer)
+  // is the workers' t_in relations concatenated in worker order, its
+  // dedup table unbuilt until first use; any other predicate is the
+  // deduplicating merge of the t_outs, first occurrences in worker
+  // order.
   Database output;
 
   std::vector<WorkerStats> workers;
@@ -99,8 +99,8 @@ struct ParallelResult {
   // Final pooling (Section 3, step 5) "might require communication from
   // all processors to a single processor": tuples and modelled bytes
   // (one per-tuple frame each) to ship every other processor's pooling
-  // source (t_in or t_out, see `output`) to collector 0 (its own tuples
-  // stay local). No channel moves them.
+  // source (t_in for a partitioned predicate, else t_out; see `output`)
+  // to collector 0 (its own tuples stay local). No channel moves them.
   uint64_t pooling_messages = 0;
   uint64_t pooling_bytes = 0;
   // Injected-fault totals summed over all channels (zero when fault
@@ -121,6 +121,17 @@ struct ParallelResult {
   //   firings_i * cpu_cost + (received_cross_i) * net_cost.
   double ModeledMakespan(double cpu_cost, double net_cost) const;
 };
+
+// True when the sending rules of derived predicate `p` partition it:
+// every processor has exactly one send for `p`, that send is determined
+// over a pattern of distinct variables, all processors share its
+// function and var_positions, and the function's kind makes the
+// destination a function of the tuple alone (not keep-or-hash, remapped
+// or custom). Then every p-tuple reaches exactly one t_in, the same one
+// whichever processor derived it, so the t_ins are pairwise disjoint and
+// their union is the fixpoint. A rebalancer moves buckets mid-run and
+// breaks this; RunParallel checks for one separately.
+bool SendsPartition(const RewriteBundle& bundle, Symbol p);
 
 // Runs the parallel evaluation. `edb` is mutated only by index creation
 // and by materializing empty relations for unused base predicates.

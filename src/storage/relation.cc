@@ -115,25 +115,21 @@ bool Relation::InsertView(const Value* values, int n) {
   assert(n == arity_);
   uint64_t hash = HashProjection(values, n);
   const uint32_t tag = DedupTag(hash);
-  if (!dedup_.empty()) {
-    uint64_t i = hash & dedup_mask_;
-    while (true) {
-      const DedupSlot& slot = dedup_[i];
-      if (slot.row == kEmptySlot) break;
-      if (slot.tag == tag && store_.RowEquals(slot.row, values)) {
-        return false;
-      }
-      i = (i + 1) & dedup_mask_;
-    }
-  }
+  // Grow before probing: an unbuilt table (rows appended by
+  // AppendDisjoint) must hold the committed rows before a probe can
+  // reject one of them. The probe then ends on the slot the row takes.
   if ((store_.size() + 1) * 4 > dedup_.size() * 3) {
     GrowDedup(store_.size() + 1);
   }
-  uint32_t id = static_cast<uint32_t>(store_.size());
-  store_.AppendRow(values);
   uint64_t i = hash & dedup_mask_;
-  while (dedup_[i].row != kEmptySlot) i = (i + 1) & dedup_mask_;
-  dedup_[i] = DedupSlot{tag, id};
+  while (true) {
+    const DedupSlot& slot = dedup_[i];
+    if (slot.row == kEmptySlot) break;
+    if (slot.tag == tag && store_.RowEquals(slot.row, values)) return false;
+    i = (i + 1) & dedup_mask_;
+  }
+  dedup_[i] = DedupSlot{tag, static_cast<uint32_t>(store_.size())};
+  store_.AppendRow(values);
   return true;
 }
 
@@ -153,6 +149,10 @@ size_t Relation::InsertBlock(const Value* values, int arity, uint32_t count,
 }
 
 size_t Relation::InsertAll(std::span<const Relation* const> sources) {
+  if (sources.size() == 1 && empty()) {
+    AppendDisjoint(sources);
+    return size();
+  }
   size_t total = store_.size();
   for (const Relation* source : sources) {
     assert(source != this && source->arity() == arity_);
@@ -181,6 +181,36 @@ size_t Relation::InsertAll(std::span<const Relation* const> sources) {
     }
   }
   return added;
+}
+
+void Relation::AppendDisjoint(std::span<const Relation* const> sources) {
+  assert(empty() && dedup_.empty());
+  size_t total = 0;
+  for (const Relation* source : sources) {
+    assert(source != this && source->arity() == arity_);
+    total += source->size();
+  }
+  assert(total <= kEmptySlot);  // row ids are 32-bit
+  store_.EnsureCapacity(total);
+  size_t base = 0;
+  for (const Relation* source : sources) {
+    const size_t n = source->size();
+    for (int c = 0; c < arity_; ++c) {
+      // Source and destination chunk edges differ unless `base` is a
+      // chunk multiple, so each run is bounded by both.
+      size_t run = 0;
+      for (size_t row = 0; row < n; row += run) {
+        size_t in_run, out_run;
+        const Value* in = source->store_.ColumnSpan(c, row, &in_run);
+        Value* out = store_.MutableSpan(c, base + row, base + n, &out_run);
+        run = std::min(in_run, out_run);
+        std::copy_n(in, run, out);
+      }
+    }
+    base += n;
+  }
+  store_.CommitRows(total);
+  if (total > 0) dedup_deferred_.store(true, std::memory_order_relaxed);
 }
 
 size_t Relation::IngestColumns(const Value* const* columns, size_t stride,
@@ -282,7 +312,7 @@ size_t Relation::IngestColumns(const Value* const* columns, size_t stride,
   return kept;
 }
 
-void Relation::GrowDedup(size_t min_rows) {
+void Relation::GrowDedup(size_t min_rows) const {
   size_t cap = dedup_.empty() ? 16 : dedup_.size();
   while (cap * 3 < min_rows * 4) cap *= 2;
   dedup_.assign(cap, DedupSlot{0, kEmptySlot});
@@ -319,9 +349,16 @@ void Relation::GrowDedup(size_t min_rows) {
           DedupSlot{DedupTag(hashes[r]), static_cast<uint32_t>(row + r)};
     }
   }
+  dedup_deferred_.store(false, std::memory_order_release);
 }
 
 bool Relation::Contains(const Tuple& tuple) const {
+  if (dedup_deferred_.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(dedup_build_mu_);
+    if (dedup_deferred_.load(std::memory_order_relaxed)) {
+      GrowDedup(store_.size());
+    }
+  }
   if (dedup_.empty() || tuple.arity() != arity_) return false;
   uint64_t hash = HashProjection(tuple.data(), tuple.arity());
   const uint32_t tag = DedupTag(hash);

@@ -18,17 +18,27 @@
 // nor probes ever materialize a key `Tuple`; equality checks read back
 // through the relation's own column chunks.
 //
+// The dedup set is built on first use. AppendDisjoint (and InsertAll of
+// one source into an empty relation) copies column runs and leaves the
+// table unbuilt: rows present with an empty table means "not built yet".
+// Every insert path grows the table, rehashing the committed rows,
+// before it probes; Contains builds it once under a lock.
+//
 // Thread-safety: a Relation is either worker-local (mutable, no locking
 // needed) or shared read-only across workers (base relations). For the
 // shared case, all needed indexes must be built before the parallel run
 // via EnsureIndex(); lookups afterwards are const and race-free.
+// Contains may run concurrently with other const readers even while the
+// dedup table is still unbuilt: the first caller builds it.
 #ifndef PDATALOG_STORAGE_RELATION_H_
 #define PDATALOG_STORAGE_RELATION_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -282,21 +292,33 @@ class Relation {
   size_t InsertBlock(const Value* values, int arity, uint32_t count,
                      bool columnar = false);
 
-  // Bulk union (final pooling, per-stratum copies): appends every row of
-  // `sources` that is not yet present, keeping first occurrences in
-  // source order — the same rows in the same order as inserting each
-  // source row by row. The dedup table grows once, to size() plus the
-  // sum of the source sizes (an upper bound: the distinct count is not
-  // known in advance); each source's column chunks then feed the
-  // InsertBlock ingest path directly, so no Tuple is materialized.
-  // Sources must have this relation's arity and must not be this
-  // relation. Returns the number of rows that were new.
+  // Bulk union (final pooling of overlapping sources, per-stratum
+  // copies): appends every row of `sources` that is not yet present,
+  // keeping first occurrences in source order — the same rows in the
+  // same order as inserting each source row by row. One source into an
+  // empty relation is disjoint by definition and takes AppendDisjoint.
+  // Otherwise the dedup table grows once, to size() plus the sum of the
+  // source sizes (an upper bound: the distinct count is not known in
+  // advance); each source's column chunks then feed the InsertBlock
+  // ingest path directly, so no Tuple is materialized. Sources must
+  // have this relation's arity and must not be this relation. Returns
+  // the number of rows that were new.
   size_t InsertAll(std::span<const Relation* const> sources);
   size_t InsertAll(const Relation& source) {
     const Relation* one = &source;
     return InsertAll({&one, 1});
   }
 
+  // Union of pairwise-disjoint sets into this empty relation (final
+  // pooling of a partitioned predicate): the sources' rows in source
+  // order, one copy per column run, no hash and no probe. The dedup
+  // table stays unbuilt until something first inserts or calls
+  // Contains. Disjointness is the caller's promise; a shared row would
+  // be stored twice.
+  void AppendDisjoint(std::span<const Relation* const> sources);
+
+  // Builds the dedup table first if it is still unbuilt (safe alongside
+  // other const readers).
   bool Contains(const Tuple& tuple) const;
 
   // Materializes row `i` (returned by value; the storage is columnar).
@@ -349,7 +371,8 @@ class Relation {
   // Grows the dedup table until it can hold `min_rows` rows below 3/4
   // load (one rehash even when doubling several times), rehashing the
   // committed rows in column-chunk batches with prefetched placement.
-  void GrowDedup(size_t min_rows);
+  // Const because Contains builds a deferred table through it.
+  void GrowDedup(size_t min_rows) const;
 
   // The ingest path shared by InsertBlock and InsertAll: cell (r, c) of
   // the incoming rows is columns[c][r * stride] (stride 1 for a
@@ -374,8 +397,13 @@ class Relation {
   static uint32_t DedupTag(uint64_t hash) {
     return static_cast<uint32_t>(hash >> 32);
   }
-  std::vector<DedupSlot> dedup_;
-  uint64_t dedup_mask_ = 0;
+  mutable std::vector<DedupSlot> dedup_;
+  mutable uint64_t dedup_mask_ = 0;
+  // Set while committed rows sit outside an unbuilt table (after
+  // AppendDisjoint); GrowDedup clears it. Only Contains reads it: the
+  // insert paths' grow check already sees the empty table.
+  mutable std::atomic<bool> dedup_deferred_{false};
+  mutable std::mutex dedup_build_mu_;  // serializes Contains' build
   std::unordered_map<uint32_t, ColumnIndex> indexes_;
   TraceRing* trace_ = nullptr;  // optional bulk-insert span target
   Histogram* insert_profile_ = nullptr;  // optional ingest durations

@@ -180,7 +180,7 @@ TEST(EngineExtraTest, PoolingCostAccounted) {
       MakeAncestorBundle(setup.get(), AncestorScheme::kExample3, 3);
   StatusOr<ParallelResult> result = RunParallel(bundle, &setup->edb);
   ASSERT_TRUE(result.ok());
-  // Example 3 sends cover every anc tuple, so pooling reads the t_in
+  // Example 3's sends partition anc, so pooling reads the t_in
   // relations: workers 1..P-1 ship theirs to collector 0.
   uint64_t remote_in = 0;
   for (int w = 1; w < 3; ++w) remote_in += result->workers[w].in_inserted;

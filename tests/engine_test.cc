@@ -231,6 +231,24 @@ TEST_P(EngineModeTest, DeterminedSendsPoolFromDisjointTinPartitions) {
     }
     size_t in_total = 0;
     for (const Relation* t_in : ins) in_total += t_in->size();
+    // Every t_in row of worker i satisfies h(v(r)) = i: the partition
+    // the concatenating pool relies on is the one the sends define.
+    ASSERT_TRUE(SendsPartition(bundle, setup->anc()));
+    const SendSpec& spec = bundle.sends[0][0];
+    ASSERT_EQ(spec.predicate, setup->anc());
+    std::vector<Value> key(spec.var_positions.size());
+    for (size_t i = 0; i < ins.size(); ++i) {
+      size_t misrouted = 0;
+      for (size_t r = 0; r < ins[i]->size(); ++r) {
+        for (size_t k = 0; k < key.size(); ++k) {
+          key[k] = ins[i]->cell(r, spec.var_positions[k]);
+        }
+        misrouted += bundle.registry->Evaluate(
+                         spec.function, key.data(),
+                         static_cast<int>(key.size())) != static_cast<int>(i);
+      }
+      EXPECT_EQ(misrouted, 0u) << "worker " << i;
+    }
     // Each t_in is a set, so they are pairwise disjoint exactly when
     // their union loses no row.
     Relation all(2);
@@ -258,23 +276,29 @@ TEST_P(EngineModeTest, DeterminedSendsPoolFromDisjointTinPartitions) {
   }
 }
 
+// The linear sirup `program` (derived t) under the Section 3 scheme
+// v(r) = <Y>, v(e) = <X> on 4 processors.
+StatusOr<RewriteBundle> SirupBundle(const Program& program,
+                                    const ProgramInfo& info,
+                                    SymbolTable* symbols) {
+  StatusOr<LinearSirup> sirup = ExtractLinearSirup(program, info);
+  if (!sirup.ok()) return sirup.status();
+  LinearSchemeOptions scheme;
+  scheme.v_r = {symbols->Intern("Y")};
+  scheme.v_e = {symbols->Intern("X")};
+  scheme.h = DiscriminatingFunction::UniformHash(4);
+  return RewriteLinearSirup(program, info, *sirup, 4, scheme);
+}
+
 // Runs the linear sirup `source` (base s and b: random graphs over
-// n0..n29, plus diagonal s rows; derived t) under the Section 3 scheme v(r) = <Y>,
-// v(e) = <X> on 4 processors, and expects the pooled t to equal the
-// sequential fixpoint.
+// n0..n29, plus diagonal s rows; derived t) under SirupBundle's scheme
+// and expects the pooled t to equal the sequential fixpoint.
 StatusOr<ParallelResult> RunSirupAgainstOracle(const char* source,
                                                bool use_threads) {
   SymbolTable symbols;
   Program program = ParseOrDie(source, &symbols);
   ProgramInfo info = ValidateOrDie(program);
-  StatusOr<LinearSirup> sirup = ExtractLinearSirup(program, info);
-  if (!sirup.ok()) return sirup.status();
-  LinearSchemeOptions scheme;
-  scheme.v_r = {symbols.Intern("Y")};
-  scheme.v_e = {symbols.Intern("X")};
-  scheme.h = DiscriminatingFunction::UniformHash(4);
-  StatusOr<RewriteBundle> bundle =
-      RewriteLinearSirup(program, info, *sirup, 4, scheme);
+  StatusOr<RewriteBundle> bundle = SirupBundle(program, info, &symbols);
   if (!bundle.ok()) return bundle.status();
 
   Database edb, seq_db;
@@ -359,8 +383,8 @@ TEST_P(EngineModeTest, UnconsumedPredicatePoolsFromToutWhenStratified) {
 }
 
 TEST_P(EngineModeTest, BroadcastSendsPoolFromTout) {
-  // Example 2 sends cover every tuple but broadcast it, so the t_ins
-  // hold up to P copies each and are larger than the t_outs.
+  // Example 2's sends broadcast, so a tuple can reach several t_ins and
+  // the pool merges the t_outs instead.
   auto setup = MakeAncestorSetup();
   GenRandomGraph(&setup->symbols, &setup->edb, "par", 40, 100, 8);
   const std::string expected = SequentialAncestor(setup.get(), nullptr);
@@ -378,7 +402,7 @@ TEST_P(EngineModeTest, BroadcastSendsPoolFromTout) {
 
 TEST_P(EngineModeTest, RebalancedRunPoolsTheOracle) {
   // Rebalancer epochs move and replicate hash buckets mid-run, so one
-  // tuple can reach several t_ins; the deduplicating merge absorbs it.
+  // tuple can reach several t_ins; the run pools its t_outs instead.
   auto setup = MakeAncestorSetup();
   GenZipfGraph(&setup->symbols, &setup->edb, "par", 120, 360, 1.4, 7);
   const std::string expected = SequentialAncestor(setup.get(), nullptr);
@@ -390,6 +414,7 @@ TEST_P(EngineModeTest, RebalancedRunPoolsTheOracle) {
   StatusOr<RewriteBundle> bundle = RewriteLinearSirup(
       setup->program, setup->info, setup->sirup, 4, scheme);
   ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+  ASSERT_TRUE(SendsPartition(*bundle, setup->anc()));  // without moves
   ParallelOptions options = Options();
   options.rebalance.skew_threshold = 1.0;
   options.rebalance.min_bucket_tuples = 1;
@@ -400,6 +425,88 @@ TEST_P(EngineModeTest, RebalancedRunPoolsTheOracle) {
   EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);
   EXPECT_EQ(result->pooled_tuples,
             result->output.Find(setup->anc())->size());
+  EXPECT_EQ(result->pooling_messages, RemoteOutTuples(*result));
+}
+
+TEST_P(EngineModeTest, TradeoffSendsPoolFromTout) {
+  // Keep-or-hash routes a tuple by where it was derived: two processors
+  // deriving it can both keep it, so the t_ins overlap and concatenating
+  // them would store tuples twice.
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 120, 300, 4);
+  const std::string expected = SequentialAncestor(setup.get(), nullptr);
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kTradeoff, 4);
+  StatusOr<ParallelResult> result =
+      RunParallel(bundle, &setup->edb, Options());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);
+  uint64_t in_total = 0;
+  for (const WorkerStats& w : result->workers) in_total += w.in_inserted;
+  EXPECT_GT(in_total, result->pooled_tuples);
+  EXPECT_EQ(result->pooling_messages, RemoteOutTuples(*result));
+}
+
+// Which predicates final pooling concatenates (SendsPartition), over the
+// scheme catalogue and this file's sirups.
+TEST(PartitionRuleTest, PartitionedPredicatesPerScheme) {
+  const std::pair<AncestorScheme, bool> ancestor[] = {
+      {AncestorScheme::kExample1, true},   {AncestorScheme::kExample2, false},
+      {AncestorScheme::kExample3, true},   {AncestorScheme::kGeneral, true},
+      {AncestorScheme::kTradeoff, false},  {AncestorScheme::kAuto, true},
+  };
+  for (const auto& [scheme, partitioned] : ancestor) {
+    auto setup = MakeAncestorSetup();
+    GenChain(&setup->symbols, &setup->edb, "par", 6);  // Example 2's facts
+    RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, 4);
+    EXPECT_EQ(SendsPartition(bundle, setup->anc()), partitioned)
+        << "scheme " << static_cast<int>(scheme);
+  }
+
+  const std::pair<const char*, bool> sirups[] = {
+      {"t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, Z), b(X, Z).\n", true},
+      {"t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, n0), b(X, Y).\n", false},
+      {"t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, Y), b(X, Y).\n", false},
+  };
+  for (const auto& [source, partitioned] : sirups) {
+    SymbolTable symbols;
+    Program program = ParseOrDie(source, &symbols);
+    StatusOr<RewriteBundle> bundle =
+        SirupBundle(program, ValidateOrDie(program), &symbols);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    EXPECT_EQ(SendsPartition(*bundle, symbols.Lookup("t")), partitioned)
+        << source;
+  }
+
+  // General scheme: r1 is read by two rules (two sends) and top by none;
+  // r1's own stratum has one send and partitions it.
+  SymbolTable symbols;
+  Program program = ParseOrDie(
+      "r1(X, Y) :- e(X, Y).\n"
+      "r1(X, Y) :- e(X, Z), r1(Z, Y).\n"
+      "top(X, Y) :- r1(X, Z), e(Z, Y).\n"
+      "anc(X, Y) :- r1(X, Y).\n"
+      "anc(X, Y) :- anc(X, Z), anc(Z, Y).\n",
+      &symbols);
+  std::vector<GeneralRuleSpec> specs(5);
+  for (int r : {0, 2, 3}) specs[r].vars = {symbols.Intern("X")};
+  for (int r : {1, 4}) specs[r].vars = {symbols.Intern("Z")};
+  for (GeneralRuleSpec& spec : specs) {
+    spec.h = DiscriminatingFunction::UniformHash(3, 9);
+  }
+  StatusOr<RewriteBundle> whole =
+      RewriteGeneral(program, ValidateOrDie(program), 3, specs);
+  ASSERT_TRUE(whole.ok()) << whole.status().ToString();
+  for (const char* pred : {"r1", "top", "anc"}) {
+    EXPECT_FALSE(SendsPartition(*whole, symbols.Lookup(pred))) << pred;
+  }
+  Program stratum;
+  stratum.symbols = program.symbols;
+  stratum.rules = {program.rules[0], program.rules[1]};
+  StatusOr<RewriteBundle> lower = RewriteGeneral(
+      stratum, ValidateOrDie(stratum), 3, {specs[0], specs[1]});
+  ASSERT_TRUE(lower.ok()) << lower.status().ToString();
+  EXPECT_TRUE(SendsPartition(*lower, symbols.Lookup("r1")));
 }
 
 }  // namespace

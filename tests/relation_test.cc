@@ -1,6 +1,9 @@
 #include "storage/relation.h"
 
+#include <atomic>
 #include <initializer_list>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -351,6 +354,146 @@ TEST(RelationDedupTagTest, TagCollisionKeepsBothRows) {
     EXPECT_EQ(rel->InsertBlock(filler.data(), 2, 10000), 10000u);
     ExpectTwinsKept(rel, 10002);
   }
+}
+
+
+// Pairwise-disjoint sources of `arity` whose sizes straddle the 4,096-row
+// chunk edge, so the concatenation's runs start mid-chunk on both sides:
+// source k holds rows RowCell(i, .) for consecutive i, never shared.
+// Arity 0 has one distinct row, so only one source can hold it.
+std::vector<std::unique_ptr<Relation>> DisjointSources(int arity) {
+  const std::vector<size_t> sizes =
+      arity == 0 ? std::vector<size_t>{0, 1, 0}
+                 : std::vector<size_t>{0, ColumnStore::kChunkRows - 1,
+                                       ColumnStore::kChunkRows + 1, 10000};
+  std::vector<std::unique_ptr<Relation>> sources;
+  std::vector<Value> row(arity);
+  size_t next = 0;
+  for (size_t size : sizes) {
+    sources.push_back(std::make_unique<Relation>(arity));
+    for (size_t i = 0; i < size; ++i, ++next) {
+      for (int c = 0; c < arity; ++c) row[c] = RowCell(next, c);
+      sources.back()->InsertView(row.data(), arity);
+    }
+  }
+  return sources;
+}
+
+std::vector<const Relation*> Views(
+    const std::vector<std::unique_ptr<Relation>>& sources) {
+  std::vector<const Relation*> views;
+  for (const auto& source : sources) views.push_back(source.get());
+  return views;
+}
+
+// A freshly concatenated relation: its dedup table is still unbuilt.
+std::unique_ptr<Relation> Concatenated(
+    const std::vector<std::unique_ptr<Relation>>& sources, int arity) {
+  auto pooled = std::make_unique<Relation>(arity);
+  pooled->AppendDisjoint(Views(sources));
+  return pooled;
+}
+
+TEST(RelationAppendDisjointTest, RowsAreTheSourcesConcatenated) {
+  for (int arity : {0, 1, 2, 3}) {
+    SCOPED_TRACE(arity);
+    auto sources = DisjointSources(arity);
+    std::vector<Tuple> expected;
+    for (const auto& source : sources) {
+      for (const Tuple& t : Rows(*source)) expected.push_back(t);
+    }
+    EXPECT_EQ(Rows(*Concatenated(sources, arity)), expected);
+  }
+}
+
+TEST(RelationAppendDisjointTest, DeferredTableServesEveryReader) {
+  for (int arity : {0, 1, 2, 3}) {
+    SCOPED_TRACE(arity);
+    auto sources = DisjointSources(arity);
+    const size_t total = Concatenated(sources, arity)->size();
+    std::vector<Value> fresh(arity);  // a row no source holds
+    for (int c = 0; c < arity; ++c) fresh[c] = RowCell(total, c);
+    const Tuple last = Concatenated(sources, arity)->row(total - 1);
+
+    auto contains = Concatenated(sources, arity);
+    size_t missing = 0;
+    for (const Tuple& t : Rows(*contains)) missing += !contains->Contains(t);
+    EXPECT_EQ(missing, 0u);
+    if (arity > 0) {
+      EXPECT_FALSE(contains->Contains(Tuple(fresh.data(), arity)));
+    }
+
+    // Each insert path, first on an unbuilt table, rejects a
+    // concatenated row and (arity > 0) accepts a new one.
+    auto by_view = Concatenated(sources, arity);
+    EXPECT_FALSE(by_view->InsertView(last.data(), arity));
+    auto by_block = Concatenated(sources, arity);
+    EXPECT_EQ(by_block->InsertBlock(last.data(), arity, 1), 0u);
+    auto by_union = Concatenated(sources, arity);
+    Relation dup(arity);
+    dup.Insert(last);
+    EXPECT_EQ(by_union->InsertAll(dup), 0u);
+    for (Relation* rel : {by_view.get(), by_block.get(), by_union.get()}) {
+      EXPECT_EQ(rel->size(), total);
+    }
+    if (arity > 0) {
+      EXPECT_TRUE(by_view->InsertView(fresh.data(), arity));
+      EXPECT_EQ(by_block->InsertBlock(fresh.data(), arity, 1), 1u);
+      Relation one(arity);
+      one.InsertView(fresh.data(), arity);
+      EXPECT_EQ(by_union->InsertAll(one), 1u);
+      for (Relation* rel : {by_view.get(), by_block.get(), by_union.get()}) {
+        EXPECT_EQ(rel->size(), total + 1);
+        EXPECT_TRUE(rel->Contains(Tuple(fresh.data(), arity)));
+      }
+    }
+
+    // An index built on the concatenation covers every row.
+    if (arity > 0) {
+      auto indexed = Concatenated(sources, arity);
+      const ColumnIndex& index = indexed->EnsureIndex(0b1);
+      EXPECT_EQ(index.built_upto(), total);
+      for (size_t i : {size_t{0}, ColumnStore::kChunkRows, total - 1}) {
+        EXPECT_EQ(Collect(index, {RowCell(i, 0)}, 0, total),
+                  std::vector<uint32_t>{static_cast<uint32_t>(i)});
+      }
+    }
+  }
+}
+
+TEST(RelationAppendDisjointTest, InsertAllOfOneSourceIntoEmptyCopiesRows) {
+  for (int arity : {0, 1, 2, 3}) {
+    SCOPED_TRACE(arity);
+    auto sources = DisjointSources(arity);
+    const Relation& source = *sources[arity == 0 ? 1 : 3];
+    Relation copy(arity);
+    EXPECT_EQ(copy.InsertAll(source), source.size());
+    EXPECT_EQ(Rows(copy), Rows(source));
+    EXPECT_EQ(copy.InsertAll(source), 0u);
+    EXPECT_EQ(Rows(copy), Rows(source));
+  }
+}
+
+TEST(RelationAppendDisjointTest, ConcurrentContainsBuildsTheTableOnce) {
+  // Contains is const: readers sharing a freshly concatenated relation
+  // race to build its table, and exactly one may (TSan checks the rest).
+  auto sources = DisjointSources(2);
+  auto pooled = Concatenated(sources, 2);
+  const Relation& shared = *pooled;
+  std::atomic<size_t> found{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&shared, &found, t] {
+      size_t hits = 0;
+      for (size_t i = t; i < shared.size(); i += 4) {
+        const Value row[] = {RowCell(i, 0), RowCell(i, 1)};
+        hits += shared.Contains(Tuple(row, 2));
+      }
+      found += hits;
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(found.load(), shared.size());
 }
 
 }  // namespace
