@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <unordered_set>
 
 #include "core/partition.h"
 #include "eval/stratify.h"
@@ -212,38 +211,6 @@ void ProjectScalarsFromMetrics(ParallelResult* result) {
 }
 
 }  // namespace
-
-bool SendsPartition(const RewriteBundle& bundle, Symbol p) {
-  const SendSpec* first = nullptr;
-  for (const std::vector<SendSpec>& sends : bundle.sends) {
-    const SendSpec* only = nullptr;
-    for (const SendSpec& spec : sends) {
-      if (spec.predicate != p) continue;
-      if (only != nullptr) return false;  // two sends for p
-      only = &spec;
-    }
-    if (only == nullptr || !only->determined) return false;
-    if (first == nullptr) {
-      first = only;
-    } else if (only->function != first->function ||
-               only->var_positions != first->var_positions) {
-      return false;
-    }
-    std::unordered_set<Symbol> vars;
-    for (const Term& term : only->pattern.args) {
-      if (!term.is_var() || !vars.insert(term.sym).second) return false;
-    }
-  }
-  if (first == nullptr) return false;
-  switch (bundle.registry->function(first->function).kind) {
-    case DiscriminatingFunction::Kind::kKeepOrHash:
-    case DiscriminatingFunction::Kind::kRemapped:
-    case DiscriminatingFunction::Kind::kCustom:
-      return false;
-    default:
-      return true;
-  }
-}
 
 StatusOr<ParallelResult> RunParallel(const RewriteBundle& bundle,
                                      Database* edb,

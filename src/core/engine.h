@@ -91,8 +91,9 @@ struct ParallelResult {
   uint64_t cross_tuples = 0;   // inter-processor tuples
   uint64_t cross_bytes = 0;    // inter-processor wire bytes
   uint64_t cross_frames = 0;   // inter-processor block frames
-  uint64_t self_tuples = 0;    // self-routed tuples (no communication)
-  // Sum over processors of distinct t_out tuples; exceeds the pooled
+  uint64_t self_tuples = 0;    // tuples sent on own channel (free)
+  // Sum over processors of the distinct tuples their rules derived (t_out
+  // rows, or t_in rows for a self-routed predicate); exceeds the pooled
   // output size exactly when computation was redundant.
   uint64_t out_tuples_total = 0;
   uint64_t pooled_tuples = 0;
@@ -121,17 +122,6 @@ struct ParallelResult {
   //   firings_i * cpu_cost + (received_cross_i) * net_cost.
   double ModeledMakespan(double cpu_cost, double net_cost) const;
 };
-
-// True when the sending rules of derived predicate `p` partition it:
-// every processor has exactly one send for `p`, that send is determined
-// over a pattern of distinct variables, all processors share its
-// function and var_positions, and the function's kind makes the
-// destination a function of the tuple alone (not keep-or-hash, remapped
-// or custom). Then every p-tuple reaches exactly one t_in, the same one
-// whichever processor derived it, so the t_ins are pairwise disjoint and
-// their union is the fixpoint. A rebalancer moves buckets mid-run and
-// breaks this; RunParallel checks for one separately.
-bool SendsPartition(const RewriteBundle& bundle, Symbol p);
 
 // Runs the parallel evaluation. `edb` is mutated only by index creation
 // and by materializing empty relations for unused base predicates.

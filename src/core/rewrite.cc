@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <unordered_set>
 
 namespace pdatalog {
 
@@ -49,6 +50,47 @@ Symbol DecoratedName(SymbolTable* symbols, const ProgramInfo& info,
     if (info.arity.find(sym) == info.arity.end()) return sym;
     candidate += "_";
   }
+}
+
+// Whether functions `a` and `b` of `registry` agree on every input: one
+// registration, or two hashes of the same kind, range and seed.
+bool SameFunction(const DiscriminatingRegistry& registry, int a, int b) {
+  if (a == b) return true;
+  const DiscriminatingFunction& fa = registry.function(a);
+  const DiscriminatingFunction& fb = registry.function(b);
+  const bool hash = fa.kind == DiscriminatingFunction::Kind::kUniformHash ||
+                    fa.kind == DiscriminatingFunction::Kind::kSymmetricHash;
+  return hash && fa.kind == fb.kind &&
+         fa.num_processors == fb.num_processors && fa.seed == fb.seed;
+}
+
+// The static rule behind RewriteBundle::self_routed: the sends partition
+// `p`, and each rule deriving `p` constrains h(v) = i with the send's
+// function over variables the head holds at the send's columns, so
+// every row processor i derives hashes to i.
+bool SelfRouted(const Program& program,
+                const std::vector<RuleSpecInternal>& specs,
+                const RewriteBundle& bundle, Symbol p) {
+  if (!SendsPartition(bundle, p)) return false;
+  const SendSpec* send = nullptr;
+  for (const SendSpec& spec : bundle.sends[0]) {
+    if (spec.predicate == p) send = &spec;
+  }
+  for (size_t r = 0; r < program.rules.size(); ++r) {
+    const Atom& head = program.rules[r].head;
+    if (head.predicate != p) continue;
+    const RuleSpecInternal& spec = specs[r];
+    if (!spec.constrain || spec.vars.empty() ||
+        spec.vars.size() != send->var_positions.size() ||
+        !SameFunction(*bundle.registry, spec.function, send->function)) {
+      return false;
+    }
+    for (size_t k = 0; k < spec.vars.size(); ++k) {
+      const Term& term = head.args[send->var_positions[k]];
+      if (!term.is_var() || term.sym != spec.vars[k]) return false;
+    }
+  }
+  return true;
 }
 
 StatusOr<RewriteBundle> BuildBundle(
@@ -188,10 +230,45 @@ StatusOr<RewriteBundle> BuildBundle(
     }
   }
 
+  for (Symbol p : bundle.derived) {
+    if (SelfRouted(program, specs, bundle, p)) bundle.self_routed.insert(p);
+  }
   return bundle;
 }
 
 }  // namespace
+
+bool SendsPartition(const RewriteBundle& bundle, Symbol p) {
+  const SendSpec* first = nullptr;
+  for (const std::vector<SendSpec>& sends : bundle.sends) {
+    const SendSpec* only = nullptr;
+    for (const SendSpec& spec : sends) {
+      if (spec.predicate != p) continue;
+      if (only != nullptr) return false;  // two sends for p
+      only = &spec;
+    }
+    if (only == nullptr || !only->determined) return false;
+    if (first == nullptr) {
+      first = only;
+    } else if (only->function != first->function ||
+               only->var_positions != first->var_positions) {
+      return false;
+    }
+    std::unordered_set<Symbol> vars;
+    for (const Term& term : only->pattern.args) {
+      if (!term.is_var() || !vars.insert(term.sym).second) return false;
+    }
+  }
+  if (first == nullptr) return false;
+  switch (bundle.registry->function(first->function).kind) {
+    case DiscriminatingFunction::Kind::kKeepOrHash:
+    case DiscriminatingFunction::Kind::kRemapped:
+    case DiscriminatingFunction::Kind::kCustom:
+      return false;
+    default:
+      return true;
+  }
+}
 
 StatusOr<RewriteBundle> RewriteLinearSirup(
     const Program& program, const ProgramInfo& info, const LinearSirup& sirup,

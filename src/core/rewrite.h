@@ -20,12 +20,20 @@
 // constraints, exactly as the paper presents the rewriting. Sending and
 // receiving rules are represented as SendSpecs: the engine implements
 // the channel predicates t_ij natively.
+//
+// The bundle also records which derived predicates are *self-routed*:
+// every row processor i derives for them is sent back to processor i
+// (Example 1, Theorem 3). For those the sending rule is the identity
+// t_in(Y) :- t_out(Y), so a worker evaluates Q_i with t_in as the head
+// and the t_out relation and the self channel never exist at run time.
+// The printed Q_i keeps the paper's t_out heads.
 #ifndef PDATALOG_CORE_REWRITE_H_
 #define PDATALOG_CORE_REWRITE_H_
 
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/discriminating.h"
@@ -96,7 +104,25 @@ struct RewriteBundle {
   // True when every processing rule carries its h(v(r))=i constraint;
   // then the parallel execution is semi-naive non-redundant (Thm 2/6).
   bool non_redundant = false;
+
+  // Derived predicates p whose rows route back to the processor that
+  // derived them: SendsPartition(*this, p) holds, and every rule with
+  // head p carries an h(v) = i constraint whose function equals p's send
+  // function and whose variable v[k] the head holds at the send's
+  // var_positions[k]. Then h(send columns of a row) = h(v) = i.
+  std::unordered_set<Symbol> self_routed;
 };
+
+// True when the sending rules of derived predicate `p` partition it:
+// every processor has exactly one send for `p`, that send is determined
+// over a pattern of distinct variables, all processors share its
+// function and var_positions, and the function's kind makes the
+// destination a function of the tuple alone (not keep-or-hash, remapped
+// or custom). Then every p-tuple reaches exactly one t_in, the same one
+// whichever processor derived it, so the t_ins are pairwise disjoint and
+// their union is the fixpoint. A rebalancer moves buckets mid-run and
+// breaks this; RunParallel checks for one separately.
+bool SendsPartition(const RewriteBundle& bundle, Symbol p);
 
 // --- Scheme constructors ---------------------------------------------
 

@@ -37,7 +37,22 @@ Worker::Worker(const RewriteBundle* bundle, int id, const Database* edb,
       fragments_(std::move(fragments)) {}
 
 Status Worker::Setup() {
-  const Program& program = bundle_->per_processor[id_];
+  // The identity sending rule for self-routed predicates, unless a
+  // rebalancer may move their buckets (see the header comment).
+  num_derived_ = static_cast<int>(bundle_->derived.size());
+  self_routed_.assign(num_derived_, false);
+  program_ = bundle_->per_processor[id_];
+  for (int slot = 0; slot < num_derived_; ++slot) {
+    const Symbol p = bundle_->derived[slot];
+    if (rebalance_ != nullptr || bundle_->self_routed.count(p) == 0) continue;
+    self_routed_[slot] = true;
+    for (Rule& rule : program_.rules) {
+      if (rule.head.predicate == bundle_->out_name.at(p)) {
+        rule.head.predicate = bundle_->in_name.at(p);
+      }
+    }
+  }
+  const Program& program = program_;
   PDATALOG_RETURN_IF_ERROR(Validate(program, &info_));
   for (const auto& [orig, in_sym] : bundle_->in_name) {
     if (info_.arity.emplace(in_sym, bundle_->arity.at(orig)).second) {
@@ -49,16 +64,19 @@ Status Worker::Setup() {
     info_.derived.insert(in_sym);
   }
 
-  // The t_out / t_in relations, handed to the evaluator below. A
-  // Database keeps its relations at stable addresses, so the worker
-  // goes on appending received blocks to the t_in relations the
-  // evaluator owns.
+  // The t_out / t_in relations, handed to the evaluator below; a
+  // self-routed predicate has its t_in only. A Database keeps its
+  // relations at stable addresses, so the worker goes on appending
+  // received blocks to the t_in relations the evaluator owns.
   Database local;
-  num_derived_ = static_cast<int>(bundle_->derived.size());
-  for (Symbol p : bundle_->derived) {
-    int arity = bundle_->arity.at(p);
-    out_rels_.push_back(&local.GetOrCreate(bundle_->out_name.at(p), arity));
+  for (int slot = 0; slot < num_derived_; ++slot) {
+    const Symbol p = bundle_->derived[slot];
+    const int arity = bundle_->arity.at(p);
     in_rels_[p] = &local.GetOrCreate(bundle_->in_name.at(p), arity);
+    out_rels_.push_back(
+        self_routed_[slot]
+            ? in_rels_[p]
+            : &local.GetOrCreate(bundle_->out_name.at(p), arity));
   }
   out_sent_end_.assign(num_derived_, 0);
   send_blocks_.resize(static_cast<size_t>(num_processors_) * num_derived_);
@@ -119,8 +137,9 @@ Status Worker::Setup() {
 void Worker::set_trace(TraceRing* ring) {
   trace_ = ring;
   // Bulk ingests into the t_in relations happen on this worker's thread
-  // (DrainChannels), so they may share the worker's ring — and, when
-  // tracing is on, the worker's ingest histograms.
+  // (DrainChannels, and the evaluator's head inserts for a self-routed
+  // predicate), so they may share the worker's ring — and, when tracing
+  // is on, the worker's ingest histograms.
   for (const auto& [pred, rel] : in_rels_) {
     rel->set_trace(ring);
     rel->set_insert_profile(ring != nullptr ? &profile_.insert_ns : nullptr);
@@ -132,9 +151,10 @@ void Worker::set_trace(TraceRing* ring) {
 }
 
 const Relation& Worker::OutputRelation(Symbol p) const {
-  const Relation* rel = eval_->Find(bundle_->out_name.at(p));
-  assert(rel != nullptr);
-  return *rel;
+  const auto it =
+      std::find(bundle_->derived.begin(), bundle_->derived.end(), p);
+  assert(it != bundle_->derived.end());
+  return *out_rels_[it - bundle_->derived.begin()];
 }
 
 void Worker::BeginRoundLog(uint64_t received) {
@@ -155,11 +175,18 @@ Status Worker::Evaluate() {
 }
 
 Status Worker::Init() {
-  TraceScope span(trace_, TracePhase::kInit);
   BeginRoundLog(0);
-  PDATALOG_RETURN_IF_ERROR(Evaluate());
+  {
+    // A sibling of the kInit span below, not nested in it, so per-phase
+    // sums count it once; with self-routed predicates this batch is the
+    // whole local fixpoint.
+    TraceScope probe(trace_, TracePhase::kProbe, 0,
+                     trace_ != nullptr ? &profile_.probe_ns : nullptr);
+    PDATALOG_RETURN_IF_ERROR(Evaluate());
+  }
   // Route the initial output delta (Section 3: tuples derived by the
   // initialization rule flow through the sending rules like any other).
+  TraceScope span(trace_, TracePhase::kInit);
   SendOutputs();
   return send_status_;
 }
@@ -276,6 +303,7 @@ void Worker::FlushSends() {
 
 void Worker::SendOutputs() {
   for (int slot = 0; slot < num_derived_; ++slot) {
+    if (self_routed_[slot]) continue;  // already in t_in
     const size_t end = out_rels_[slot]->size();
     SendNewRows(slot, out_sent_end_[slot], end);
     out_sent_end_[slot] = end;

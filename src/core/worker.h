@@ -2,9 +2,16 @@
 // termination around one IncrementalEvaluator (eval/incremental.h) that
 // runs the rewritten program Q_i/R_i/T_i semi-naively. The worker
 // drains received blocks into the evaluator's t_in relations, lets it
-// run one round over them, and routes each t_out's new rows through the
+// evaluate over them, and routes each t_out's new rows through the
 // sending rules; receives are asynchronous (Section 3: "processor i
 // does not wait for data from processor j").
+//
+// A self-routed predicate (RewriteBundle::self_routed) takes the
+// identity sending rule instead: its rules derive straight into its
+// t_in, which is its only relation, so its rows are never sent and each
+// Evaluate() carries it to the local fixpoint. Example 1 thus runs its
+// whole recursion inside Init(). Rebalanced runs route every predicate,
+// because a moved bucket can send a row away from where it was derived.
 #ifndef PDATALOG_CORE_WORKER_H_
 #define PDATALOG_CORE_WORKER_H_
 
@@ -42,8 +49,9 @@ struct RoundLog {
 // own thread; the engine merges them into the run's MetricsRegistry
 // (hist.* entries) after the workers have joined.
 struct WorkerProfile {
-  Histogram probe_ns;       // semi-naive pass duration, per round
-  Histogram insert_ns;      // bulk t_in ingest duration, per block
+  Histogram probe_ns;       // evaluator batch duration, per Init/Step
+  Histogram insert_ns;      // t_in InsertBlock duration: received blocks,
+                            // and head rows of self-routed predicates
   Histogram drain_ns;       // channel drain duration, per Step
   Histogram flush_ns;       // end-of-round flush duration
   Histogram idle_ns;        // idle backoff duration, per wait
@@ -56,8 +64,9 @@ struct WorkerProfile {
 struct WorkerStats {
   int rounds = 0;
   uint64_t firings = 0;          // successful ground substitutions
-  uint64_t out_inserted = 0;     // distinct tuples added to t_out
-  uint64_t in_inserted = 0;      // distinct tuples added to t_in
+  uint64_t out_inserted = 0;     // distinct head tuples derived (into
+                                 // t_out, or a self-routed t_in)
+  uint64_t in_inserted = 0;      // distinct received tuples added to t_in
   uint64_t received = 0;         // tuples drained (incl. self-channel)
   uint64_t sent_cross = 0;       // tuples to other processors
   uint64_t sent_self = 0;        // tuples routed to self
@@ -83,13 +92,15 @@ class Worker {
       RebalanceCoordinator* rebalance = nullptr);
 
   // Runs the evaluator's opening batch, which fires the initialization
-  // rules (those without t_in body atoms), and sends the resulting
-  // output delta. Call once before stepping. Fails if an outgoing tuple
-  // cannot be encoded.
+  // rules (those without t_in body atoms) and, for self-routed
+  // predicates, every round they feed; then sends the resulting output
+  // delta. Call once before stepping. Fails if an outgoing tuple cannot
+  // be encoded.
   Status Init();
 
   // Drains the incoming channels and, if anything arrived, runs one
-  // evaluator round over the new t_in delta and sends the new outputs.
+  // evaluator batch over the new t_in delta (one round, plus the rounds
+  // self-routed predicates feed) and sends the new outputs.
   // Returns false when there was nothing to do; a non-OK status (corrupt
   // or malformed incoming message, encode failure) must abort the run —
   // the worker's counters can no longer be trusted.
@@ -132,11 +143,13 @@ class Worker {
   const WorkerStats& stats() const { return stats_; }
   const WorkerProfile& profile() const { return profile_; }
   const std::vector<RoundLog>& round_logs() const { return round_logs_; }
-  // The t_out / t_in relations (decorated names), owned by the evaluator.
+  // The t_out / t_in relations (decorated names), owned by the evaluator;
+  // a self-routed predicate has no t_out here.
   const Database& local_db() const { return eval_->db(); }
   const CompiledProgram& compiled() const { return eval_->compiled(); }
 
-  // The worker's t_out relation for original derived predicate `p`.
+  // The relation this worker's rules derive original predicate `p` into:
+  // its t_out, or its t_in when `p` is self-routed.
   const Relation& OutputRelation(Symbol p) const;
 
  private:
@@ -188,8 +201,10 @@ class Worker {
   // the hash constraints and drives routing when rebalancing is on.
   std::unique_ptr<RemapView> remap_view_;
 
-  // Local classification of Q_i: t_in predicates are fed by the
-  // channels, so the evaluator tracks them as derived.
+  // The Q_i the evaluator runs: the bundle's, with the heads of
+  // self-routed predicates renamed to their t_in. Its classification
+  // tracks every t_in as derived, since the channels feed them.
+  Program program_;
   ProgramInfo info_;
   // Base fragments keyed by occurrence index (see RewriteBundle), and
   // empty stand-ins for base predicates without facts. Both are bound
@@ -200,8 +215,11 @@ class Worker {
   // The evaluator's t_in relations by original predicate: received
   // blocks are appended here and become the next round's delta.
   std::unordered_map<Symbol, Relation*> in_rels_;
-  // Per derived predicate, in bundle_->derived order (its "slot"): the
-  // evaluator's t_out relation and how much of it has been sent.
+  // Per derived predicate, in bundle_->derived order (its "slot"):
+  // whether it is self-routed in this run, the relation its rules derive
+  // into (t_out, or t_in when self-routed) and how much of it has been
+  // sent.
+  std::vector<bool> self_routed_;
   std::vector<const Relation*> out_rels_;
   std::vector<size_t> out_sent_end_;
 

@@ -36,9 +36,9 @@ namespace pdatalog {
 // loop's stages with Begin/End pairs; instant phases mark point events.
 enum class TracePhase : uint16_t {
   // Span phases.
-  kInit = 0,  // initialization rules (Worker::Init / sequential round 0)
+  kInit = 0,  // Worker::Init routing its opening batch / sequential round 0
   kDrain,     // draining the incoming channels into t_in
-  kProbe,     // the semi-naive join pass of one round
+  kProbe,     // a worker's evaluator batch (Init's too) / sequential round
   kInsert,    // bulk t_in ingest (Relation::InsertBlock)
   kEncode,    // wire-encoding an outgoing block (serialized mode)
   kFlush,     // end-of-round flush of the accumulation blocks

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <regex>
 #include <set>
 #include <sstream>
 
@@ -79,6 +80,43 @@ TEST(CliParseTest, FaultsFlag) {
   EXPECT_TRUE(options->retransmit);
   EXPECT_FALSE(ParseCliArgs({"--faults=drop", "p.dl"}).ok());
   EXPECT_FALSE(ParseCliArgs({"--faults=jitter:0.1", "p.dl"}).ok());
+}
+
+// Example 1 on the shipped ancestor program communicates nothing: the
+// report still reads cleanly, with no NaN or inf in the profile's
+// critical path or BSP timeline, and the same anc as --mode=seq.
+TEST(CliRunTest, CommunicationFreeRunReportsCleanly) {
+  std::ifstream file(PDATALOG_ANCESTOR_DL);
+  ASSERT_TRUE(file.good()) << PDATALOG_ANCESTOR_DL;
+  std::stringstream source;
+  source << file.rdbuf();
+  StatusOr<CliOptions> par = ParseCliArgs(
+      {"--mode=par", "--scheme=example1", "--stats", "--profile", "a.dl"});
+  StatusOr<CliOptions> seq = ParseCliArgs({"--mode=seq", "a.dl"});
+  ASSERT_TRUE(par.ok() && seq.ok());
+  StatusOr<std::string> report = RunCli(*par, source.str());
+  StatusOr<std::string> oracle = RunCli(*seq, source.str());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+
+  EXPECT_NE(report->find("cross messages: 0 in 0 frames (0 bytes), "
+                         "self-routed: 0,"),
+            std::string::npos)
+      << *report;
+  const std::regex count("anc: [0-9]+ tuples");
+  std::smatch par_count, seq_count;
+  ASSERT_TRUE(std::regex_search(*report, par_count, count)) << *report;
+  ASSERT_TRUE(std::regex_search(*oracle, seq_count, count)) << *oracle;
+  EXPECT_EQ(par_count.str(), seq_count.str());
+
+  const size_t timeline = report->find("BSP timeline");
+  const size_t critical = report->find("critical path:");
+  ASSERT_NE(timeline, std::string::npos);
+  ASSERT_NE(critical, std::string::npos);
+  const std::regex not_finite("(^|[^a-z])(nan|inf)([^a-z]|$)",
+                              std::regex::icase);
+  EXPECT_FALSE(std::regex_search(report->substr(timeline), not_finite))
+      << report->substr(timeline);
 }
 
 TEST(CliRunTest, FaultyRunWithRetransmitStaysExact) {

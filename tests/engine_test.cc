@@ -447,6 +447,58 @@ TEST_P(EngineModeTest, TradeoffSendsPoolFromTout) {
   EXPECT_EQ(result->pooling_messages, RemoteOutTuples(*result));
 }
 
+// Example 1's anc is self-routed, so its rows derive straight into t_in
+// and not one frame enters any channel, the self channels included.
+TEST_P(EngineModeTest, SelfRoutedExample1SendsNothing) {
+  auto setup = MakeAncestorSetup();
+  GenRandomGraph(&setup->symbols, &setup->edb, "par", 60, 150, 5);
+  EvalStats seq;
+  const std::string expected = SequentialAncestor(setup.get(), &seq);
+  RewriteBundle bundle =
+      MakeAncestorBundle(setup.get(), AncestorScheme::kExample1, 4);
+  ASSERT_EQ(bundle.self_routed.count(setup->anc()), 1u);
+  StatusOr<ParallelResult> result =
+      RunParallel(bundle, &setup->edb, Options());
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);
+  EXPECT_EQ(result->total_firings, seq.firings);
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) {
+      EXPECT_EQ(result->frames_matrix[i][j], 0u) << i << "->" << j;
+      EXPECT_EQ(result->channel_matrix[i][j], 0u) << i << "->" << j;
+    }
+    EXPECT_EQ(result->workers[i].received, 0u) << "worker " << i;
+  }
+  EXPECT_EQ(result->pooled_tuples, result->out_tuples_total);
+}
+
+// A rebalancer can move a bucket mid-run, so a rebalanced Example 1 run
+// keeps its t_out and self channel and still reaches the oracle.
+TEST_P(EngineModeTest, RebalancedExample1StillSends) {
+  auto setup = MakeAncestorSetup();
+  GenZipfGraph(&setup->symbols, &setup->edb, "par", 120, 360, 1.4, 7);
+  const std::string expected = SequentialAncestor(setup.get(), nullptr);
+  SchemeRequest request;
+  request.kind = SchemeKind::kExample1;
+  request.fragment_bases = false;  // the rebalancer's precondition
+  StatusOr<BuiltScheme> built =
+      BuildScheme(setup->program, setup->info, setup->edb, request);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  ASSERT_EQ(built->bundle.self_routed.count(setup->anc()), 1u);
+  ParallelOptions options = Options();
+  options.rebalance.skew_threshold = 1.0;
+  options.rebalance.min_bucket_tuples = 1;
+  options.rebalance.cooldown_windows = 2;
+  StatusOr<ParallelResult> result =
+      RunParallel(built->bundle, &setup->edb, options);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(DumpOutput(*result, setup->symbols, setup->anc()), expected);
+  EXPECT_GT(result->self_tuples + result->cross_tuples, 0u);
+  uint64_t frames = 0;
+  for (const WorkerStats& w : result->workers) frames += w.frames;
+  EXPECT_GT(frames, 0u);
+}
+
 // Which predicates final pooling concatenates (SendsPartition), over the
 // scheme catalogue and this file's sirups.
 TEST(PartitionRuleTest, PartitionedPredicatesPerScheme) {
@@ -507,6 +559,83 @@ TEST(PartitionRuleTest, PartitionedPredicatesPerScheme) {
       stratum, ValidateOrDie(stratum), 3, {specs[0], specs[1]});
   ASSERT_TRUE(lower.ok()) << lower.status().ToString();
   EXPECT_TRUE(SendsPartition(*lower, symbols.Lookup("r1")));
+}
+
+// Which predicates route every row back to the processor that derived
+// it (RewriteBundle::self_routed), over the scheme catalogue, this
+// file's sirups and hand-built general-scheme bundles.
+TEST(SelfRoutingRuleTest, SelfRoutedPredicatesPerScheme) {
+  const std::pair<AncestorScheme, bool> ancestor[] = {
+      {AncestorScheme::kExample1, true},  {AncestorScheme::kExample2, false},
+      {AncestorScheme::kExample3, false}, {AncestorScheme::kGeneral, false},
+      {AncestorScheme::kTradeoff, false}, {AncestorScheme::kAuto, true},
+  };
+  for (const auto& [scheme, self_routed] : ancestor) {
+    auto setup = MakeAncestorSetup();
+    GenChain(&setup->symbols, &setup->edb, "par", 6);  // Example 2's facts
+    RewriteBundle bundle = MakeAncestorBundle(setup.get(), scheme, 4);
+    EXPECT_EQ(bundle.self_routed.count(setup->anc()) > 0, self_routed)
+        << "scheme " << static_cast<int>(scheme);
+  }
+
+  // SirupBundle keys the recursive rule on Y, which its head holds at
+  // column 1 while the send reads column 0.
+  for (const char* source : {
+           "t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, Z), b(X, Z).\n",
+           "t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, n0), b(X, Y).\n",
+           "t(X, Y) :- s(X, Y).\nt(X, Y) :- t(Y, Y), b(X, Y).\n",
+       }) {
+    SymbolTable symbols;
+    Program program = ParseOrDie(source, &symbols);
+    StatusOr<RewriteBundle> bundle =
+        SirupBundle(program, ValidateOrDie(program), &symbols);
+    ASSERT_TRUE(bundle.ok()) << bundle.status().ToString();
+    EXPECT_TRUE(bundle->self_routed.empty()) << source;
+  }
+
+  // Same generation: sg(U, V) is read where the head holds X and Y, and
+  // no dataflow cycle exists, so no scheme keeps a row at home.
+  for (SchemeKind kind : {SchemeKind::kAuto, SchemeKind::kExample2,
+                          SchemeKind::kExample3, SchemeKind::kGeneral,
+                          SchemeKind::kTradeoff}) {
+    SymbolTable symbols;
+    Program program = ParseOrDie(
+        "sg(X, Y) :- flat(X, Y).\n"
+        "sg(X, Y) :- up(X, U), sg(U, V), down(V, Y).\n",
+        &symbols);
+    ProgramInfo info = ValidateOrDie(program);
+    Database edb;
+    GenChain(&symbols, &edb, "flat", 4);
+    SchemeRequest request;
+    request.kind = kind;
+    StatusOr<BuiltScheme> built = BuildScheme(program, info, edb, request);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    EXPECT_TRUE(built->bundle.self_routed.empty())
+        << "scheme " << static_cast<int>(kind);
+  }
+
+  // The general scheme with hand-picked keys: the recursive rule sends
+  // anc(Z, Y) by h(Y), so the exit rule must key on the head's Y too.
+  SymbolTable symbols;
+  Program program = ParseOrDie(
+      "anc(X, Y) :- par(X, Y).\nanc(X, Y) :- par(X, Z), anc(Z, Y).\n",
+      &symbols);
+  ProgramInfo info = ValidateOrDie(program);
+  const Symbol anc = symbols.Lookup("anc");
+  auto general = [&](const char* exit_var, const char* rec_var) {
+    std::vector<GeneralRuleSpec> specs(2);
+    specs[0].vars = {symbols.Intern(exit_var)};
+    specs[1].vars = {symbols.Intern(rec_var)};
+    for (GeneralRuleSpec& spec : specs) {
+      spec.h = DiscriminatingFunction::UniformHash(3, 9);
+    }
+    StatusOr<RewriteBundle> bundle = RewriteGeneral(program, info, 3, specs);
+    EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
+    return bundle.ok() && bundle->self_routed.count(anc) > 0;
+  };
+  EXPECT_TRUE(general("Y", "Y"));
+  EXPECT_FALSE(general("X", "Y"));  // h(X) = i, but rows go by h(Y)
+  EXPECT_FALSE(general("X", "Z"));  // the general scheme's default
 }
 
 }  // namespace

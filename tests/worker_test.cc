@@ -334,26 +334,24 @@ TEST(WorkerCountersTest, AncestorSchemes) {
     const char* expected;
   };
   const Case cases[] = {
+      // Example 1's anc is self-routed: each worker derives into its
+      // t_in and reaches its local fixpoint inside Init, so there are no
+      // processing rounds, receives, sends or frames, and the one round
+      // log (Init's) carries every firing.
       {AncestorScheme::kExample1, 2,
-       "rounds=11 firings=1178 out=632 in=632 received=632 cross=0 self=632 "
-       "broadcasts=0 frames=11 rows=1810 fallbacks=0 | 47 97 170 212 202 147 "
-       "90 79 68 47 17 2\n"
-       "rounds=13 firings=712 out=389 in=389 received=389 cross=0 self=389 "
-       "broadcasts=0 frames=13 rows=1101 fallbacks=0 | 33 61 93 122 113 82 "
-       "68 56 36 18 10 12 7 1\n"},
+       "rounds=0 firings=1178 out=632 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=1810 fallbacks=0 | 1178\n"
+       "rounds=0 firings=712 out=389 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=1101 fallbacks=0 | 712\n"},
       {AncestorScheme::kExample1, 4,
-       "rounds=11 firings=660 out=359 in=359 received=359 cross=0 self=359 "
-       "broadcasts=0 frames=11 rows=1019 fallbacks=0 | 22 44 81 118 112 95 "
-       "55 49 40 28 14 2\n"
-       "rounds=12 firings=234 out=128 in=128 received=128 cross=0 self=128 "
-       "broadcasts=0 frames=12 rows=362 fallbacks=0 | 10 19 26 35 36 29 30 "
-       "18 9 8 7 6 1\n"
-       "rounds=10 firings=518 out=273 in=273 received=273 cross=0 self=273 "
-       "broadcasts=0 frames=10 rows=791 fallbacks=0 | 25 53 89 94 90 52 35 "
-       "30 28 19 3\n"
-       "rounds=13 firings=478 out=261 in=261 received=261 cross=0 self=261 "
-       "broadcasts=0 frames=13 rows=739 fallbacks=0 | 23 42 67 87 77 53 38 "
-       "38 27 10 3 6 6 1\n"},
+       "rounds=0 firings=660 out=359 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=1019 fallbacks=0 | 660\n"
+       "rounds=0 firings=234 out=128 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=362 fallbacks=0 | 234\n"
+       "rounds=0 firings=518 out=273 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=791 fallbacks=0 | 518\n"
+       "rounds=0 firings=478 out=261 in=0 received=0 cross=0 self=0 "
+       "broadcasts=0 frames=0 rows=739 fallbacks=0 | 478\n"},
       {AncestorScheme::kExample2, 2,
        "rounds=11 firings=966 out=636 in=1021 received=1383 cross=636 "
        "self=636 broadcasts=636 frames=22 rows=1987 fallbacks=0 | 38 72 152 "
@@ -456,17 +454,18 @@ void FillSameGeneration(SymbolTable* symbols, Database* edb) {
   }
 }
 
+// Every rule keys on O, so heap_pt is self-routed: its one reader keys
+// on the column its head holds O in. Its rows derive straight into
+// heap_pt_in and only pt travels.
 TEST(WorkerCountersTest, PointsToGeneralScheme) {
   EXPECT_EQ(
       GeneralSchemeCounters("points_to", {"O", "O", "O", "O"}, FillPointsTo),
-      "rounds=4 firings=0 out=0 in=68 received=68 cross=0 self=0 "
-      "broadcasts=0 frames=0 rows=1076 fallbacks=12 | 0 0 0 0 0\n"
-      "rounds=4 firings=1115 out=69 in=92 received=92 cross=90 self=69 "
-      "broadcasts=90 frames=11 rows=2056 fallbacks=14 | 17 94 559 425 "
-      "20\n"
-      "rounds=4 firings=560 out=35 in=80 received=80 cross=46 self=35 "
-      "broadcasts=46 frames=13 rows=1661 fallbacks=13 | 8 78 332 113 "
-      "29\n");
+      "rounds=3 firings=0 out=0 in=68 received=68 cross=0 self=0 "
+      "broadcasts=0 frames=0 rows=1147 fallbacks=9 | 0 0 0 0\n"
+      "rounds=3 firings=1115 out=69 in=68 received=68 cross=90 self=45 "
+      "broadcasts=90 frames=9 rows=2103 fallbacks=11 | 17 281 679 138\n"
+      "rounds=3 firings=560 out=35 in=68 received=68 cross=46 self=23 "
+      "broadcasts=46 frames=9 rows=1731 fallbacks=10 | 8 266 257 29\n");
 }
 
 TEST(WorkerCountersTest, SameGenerationGeneralScheme) {
